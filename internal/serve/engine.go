@@ -189,8 +189,10 @@ type poolSim struct {
 	// in-queue copy. retrySeq hands out fresh negative IDs to
 	// resubmissions so they never collide with trace IDs. eng/prioBase
 	// mirror the cluster's engine and the pool's priority offset so
-	// pool-level settle paths can cancel deadline events.
+	// pool-level settle paths can cancel deadline events; deadlineQ is
+	// the pool's FIFO calendar queue for those deadlines.
 	eng        *sim.Engine
+	deadlineQ  sim.Queue
 	prioBase   int
 	clientOn   bool
 	classesOn  bool
@@ -500,6 +502,14 @@ type clusterSim struct {
 	rrNext          int
 	dispatchPending bool
 
+	// dispatchQ and retryQ are the calendar queues of the two bulk event
+	// classes that stay off the main heap: dispatch passes, always
+	// booked at now, ride a FIFO ring; client backoff retries, jittered
+	// and so unordered, get their own heap. Per-pool deadline rings live
+	// on poolSim. Queue routing never changes firing order (see sim).
+	dispatchQ sim.Queue
+	retryQ    sim.Queue
+
 	// Arrival chain state: the one pending arrival pulled from src but
 	// not yet fired. Handlers are bound once here so the hot path
 	// schedules without allocating closures; per-event context rides in
@@ -574,6 +584,7 @@ func newClusterSimAt(cc ClusterConfig, horizon float64, poolBase, instBase int) 
 	s.scaleH = s.onScale
 	s.warmH = s.onWarm
 	s.probeH = s.onProbe
+	s.dispatchQ = s.eng.NewQueue(sim.FIFOQueue)
 	s.rec = cc.Observer
 	fp := cc.Failures.params()
 	scale := cc.Failures.timeScale()
@@ -611,6 +622,10 @@ func newClusterSimAt(cc ClusterConfig, horizon float64, poolBase, instBase int) 
 		}
 		if cfg.Client.enabled() {
 			p.clientOn = true
+			p.deadlineQ = s.eng.NewQueue(sim.FIFOQueue)
+			if s.retryQ == sim.MainQueue {
+				s.retryQ = s.eng.NewQueue(sim.HeapQueue)
+			}
 			p.tracks = make(map[int]int32)
 			p.cancelled = make(map[int]int32)
 			p.clientRNG = mathx.NewRNG(mathx.DeriveSeed(cfg.Client.Seed, uint64(poolBase+pi)))
@@ -1086,7 +1101,7 @@ func (s *clusterSim) requestDispatch(now float64) {
 		return
 	}
 	s.dispatchPending = true
-	s.eng.ScheduleCall(now, prioDispatch, s.dispatchH, 0)
+	s.eng.ScheduleOn(s.dispatchQ, now, prioDispatch, s.dispatchH, 0)
 }
 
 // dispatch hands freed or newly queued work to idle engines across all

@@ -536,7 +536,7 @@ func (s *clusterSim) openTrack(p *poolSim, r trace.Request, attempts int32, now 
 	if at < now {
 		at = now
 	}
-	tr.deadline = s.eng.ScheduleCall(at, prioClient+p.prioBase, s.deadlineH, packArg(p.idx, int(idx)))
+	tr.deadline = s.eng.ScheduleOn(p.deadlineQ, at, prioClient+p.prioBase, s.deadlineH, packArg(p.idx, int(idx)))
 	p.tracks[r.ID] = idx
 }
 
@@ -635,7 +635,7 @@ func (s *clusterSim) scheduleRetry(p *poolSim, idx int, now float64, b ClientBeh
 	if p.rec != nil {
 		p.rec.Request(obs.Backoff, now, int32(p.idx), -1, int64(tr.id), backoff)
 	}
-	s.eng.ScheduleCall(now+backoff, prioClient+p.prioBase, s.retryH, packArg(p.idx, idx))
+	s.eng.ScheduleOn(s.retryQ, now+backoff, prioClient+p.prioBase, s.retryH, packArg(p.idx, idx))
 }
 
 // onRetry resubmits a timed-out (or shed) attempt as a fresh request:
@@ -687,7 +687,7 @@ func (s *clusterSim) onRetry(now float64, arg uint64) {
 		return
 	}
 	b := p.behavior(int(tr.class))
-	tr.deadline = s.eng.ScheduleCall(now+float64(b.Timeout), prioClient+p.prioBase,
+	tr.deadline = s.eng.ScheduleOn(p.deadlineQ, now+float64(b.Timeout), prioClient+p.prioBase,
 		s.deadlineH, packArg(p.idx, idx))
 	p.tracks[r.ID] = int32(idx)
 	if s.fab != nil && len(s.pools) > 1 {

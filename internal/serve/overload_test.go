@@ -347,3 +347,43 @@ func TestWarmupAbortsWhenInstanceDies(t *testing.T) {
 		t.Error("live instance failed to unpark at warm-up completion")
 	}
 }
+
+// TestOverloadSnapshotForkInvariance extends the snapshot contract to
+// the closed client loop: forking a failure run at its first failure
+// with client deadlines armed, backoff retries pending, and adaptive
+// admission shedding must be byte-identical to simulating the whole
+// run from t=0. The calendar's client-deadline and retry queues, the
+// track arena, and the jitter stream all have to survive the fork.
+func TestOverloadSnapshotForkInvariance(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Client = ClientConfig{
+		Default: ClientBehavior{Timeout: 10, Retries: 2, BackoffBase: 1, Jitter: 0.5},
+		Seed:    17,
+	}
+	cfg.Admission = AdmissionConfig{Policy: AdmitAdaptive, QueueLimit: 24, Levels: 2}
+	reqs := overloadTenants(t, 15, 45, 90)
+	f := acceleratedFailures(0)
+	m0, fork, err := runForkable(cfg, f, reqs, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fork.sim.snap == nil {
+		t.Fatal("accelerated failures fired no failure; fork test is vacuous")
+	}
+	if m0.ClientTimeouts == 0 || m0.ClientRetries == 0 || m0.Shed == 0 {
+		t.Fatalf("fork scenario never exercised the client loop: timeouts=%d retries=%d shed=%d",
+			m0.ClientTimeouts, m0.ClientRetries, m0.Shed)
+	}
+	for spares := 0; spares <= 2; spares++ {
+		fs := f
+		fs.Spares = spares
+		want, err := RunWithFailures(cfg, fs, reqs, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fork.runWithSpares(spares)
+		if fmt.Sprintf("%x", got) != fmt.Sprintf("%x", want) {
+			t.Errorf("spares=%d: fork resume diverges from full run\ngot:  %x\nwant: %x", spares, got, want)
+		}
+	}
+}

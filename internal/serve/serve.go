@@ -494,15 +494,21 @@ func newPrefillTimer(cfg Config, opts inference.Options, gpus int) func([]trace.
 
 // newDecodeTimer returns a memoized decode-step duration function keyed
 // by batch size, evaluated at the configured decode context length and
-// the given tensor-parallel degree.
+// the given tensor-parallel degree. The memo is a slice indexed by
+// batch size (NaN marks a size not yet evaluated): batch sizes are
+// small and dense, and a map lookup per decode step was a measurable
+// share of a closed-loop run.
 func newDecodeTimer(cfg Config, opts inference.Options, gpus int) func(int) float64 {
-	cache := make(map[int]float64)
+	var cache []float64
 	return func(b int) float64 {
 		if b <= 0 {
 			return 0
 		}
-		if v, ok := cache[b]; ok {
-			return v
+		if b < len(cache) && !math.IsNaN(cache[b]) {
+			return cache[b]
+		}
+		for len(cache) <= b {
+			cache = append(cache, math.NaN())
 		}
 		est, err := inference.Run(cfg.GPU, cfg.Model, inference.Decode, gpus, b, opts)
 		v := math.Inf(1)

@@ -230,40 +230,69 @@ func TestScheduleCallRoutesArgAndCancels(t *testing.T) {
 
 func TestSteadyStateSchedulingIsAllocationFree(t *testing.T) {
 	// The hot-path contract: a warm engine schedules and fires
-	// pre-bound (Handler, arg) events without allocating. This is what
-	// keeps the serving simulator's per-decode-step cost at zero
-	// steady-state allocations.
+	// pre-bound (Handler, arg) events without allocating, on every kind
+	// of queue. This is what keeps the serving simulator's per-decode-
+	// step cost at zero steady-state allocations.
 	e := New(1)
+	ring := e.NewQueue(FIFOQueue)
+	side := e.NewQueue(HeapQueue)
 	var fired int
 	h := func(now float64, arg uint64) { fired++ }
-	// Warm the slab, heap, and free list past their high-water mark.
+	// Warm the slab, heaps, ring, and free list past their high-water
+	// mark.
 	for i := 0; i < 256; i++ {
 		e.ScheduleCall(float64(i), i%4, h, uint64(i))
+		e.ScheduleOn(ring, float64(i), 0, h, uint64(i))
+		e.ScheduleOn(side, float64(i), i%4, h, uint64(i))
 	}
 	e.Run(1 << 20)
+	// Each run pushes and pops three ring entries: 1000 runs wrap the
+	// 256-entry ring's head around a dozen times.
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.ScheduleCall(e.Now()+1, 0, h, 1)
 		e.ScheduleCall(e.Now()+2, 1, h, 2)
-		e.Step()
-		e.Step()
+		e.ScheduleOn(ring, e.Now(), 0, h, 3)
+		e.ScheduleOn(ring, e.Now()+1, 2, h, 4)
+		e.ScheduleOn(ring, e.Now()+3, 0, h, 5)
+		e.ScheduleOn(side, e.Now()+1.5, 0, h, 6)
+		e.ScheduleOn(side, e.Now()+0.5, 3, h, 7)
+		for i := 0; i < 7; i++ {
+			e.Step()
+		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state schedule+fire allocates %.1f times per event pair, want 0", allocs)
+		t.Errorf("steady-state schedule+fire allocates %.1f times per run, want 0", allocs)
+	}
+	if n := len(e.qs[ring].ents); n != 256 {
+		t.Errorf("ring grew to %d entries at steady state, want 256", n)
 	}
 }
 
 func TestCancelIsAllocationFreeAtSteadyState(t *testing.T) {
 	e := New(1)
+	ring := e.NewQueue(FIFOQueue)
+	side := e.NewQueue(HeapQueue)
 	h := func(float64, uint64) {}
 	for i := 0; i < 64; i++ {
 		e.ScheduleCall(float64(i+1), 0, h, 0)
+		e.ScheduleOn(ring, float64(i+1), 0, h, 0)
+		e.ScheduleOn(side, float64(i+1), 0, h, 0)
 	}
 	e.Run(1 << 20)
 	allocs := testing.AllocsPerRun(1000, func() {
-		id := e.ScheduleCall(e.Now()+1, 0, h, 0)
-		if !e.Cancel(id) {
-			t.Fatal("cancel failed")
+		for _, q := range []Queue{MainQueue, ring, side} {
+			id := e.ScheduleOn(q, e.Now()+1, 0, h, 0)
+			if !e.Cancel(id) {
+				t.Fatal("cancel failed")
+			}
 		}
+		// A ring tombstone behind the head, skipped when the head fires.
+		e.ScheduleOn(ring, e.Now()+1, 0, h, 0)
+		id := e.ScheduleOn(ring, e.Now()+2, 0, h, 0)
+		if !e.Cancel(id) {
+			t.Fatal("cancel behind the ring head failed")
+		}
+		e.Step()
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state schedule+cancel allocates %.1f times, want 0", allocs)
