@@ -750,11 +750,11 @@ func BenchmarkPlanCapacityAutoSequentialBaseline(b *testing.B) {
 	}
 }
 
-// benchShardCluster is the heterogeneous four-pool deployment the
-// sharding benchmarks run: two H100 pools and two Lite-GPU pools behind
-// one round-robin router, large enough that pool simulation dominates
-// and the shard workers have real work to overlap.
-func benchShardCluster(b *testing.B) (ServeClusterConfig, []Request) {
+// BenchmarkClusterFourPool runs a heterogeneous four-pool deployment:
+// two H100 pools and two Lite-GPU pools behind one round-robin router,
+// large enough that pool simulation dominates. It times the multi-pool
+// dispatch pass, which runs only the pools whose state changed.
+func BenchmarkClusterFourPool(b *testing.B) {
 	m, ok := ModelByName("Llama3-8B")
 	if !ok {
 		b.Fatal("model catalog missing Llama3-8B")
@@ -778,30 +778,6 @@ func benchShardCluster(b *testing.B) (ServeClusterConfig, []Request) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return cc, reqs
-}
-
-// BenchmarkClusterSharded measures the sharded cluster path: the four
-// pools advance on four workers with round-robin pre-routing (no
-// synchronization windows), byte-identical to the sequential run — see
-// TestShardCountInvariance. The speedup over
-// BenchmarkClusterShardedSequentialBaseline tracks available cores.
-func BenchmarkClusterSharded(b *testing.B) {
-	cc, reqs := benchShardCluster(b)
-	cc.Shards = 4
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ServeCluster(cc, reqs, 500); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkClusterShardedSequentialBaseline runs the identical cluster
-// on the sequential single-engine path.
-func BenchmarkClusterShardedSequentialBaseline(b *testing.B) {
-	cc, reqs := benchShardCluster(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -47,10 +47,10 @@ func TestWaivers(t *testing.T) {
 	analysistest.Run(t, testdata, "waive/sim", determinism.Analyzer)
 }
 
-// TestGoroutineWaivers pins the goroutine-rule extension: an audited
-// spawn under //litegpu:go-ok <reason> is allowed, while unwaived,
-// reasonless, and wrong-category spawns all still fire (and unused
-// go-ok waivers are reported stale).
+// TestGoroutineWaivers pins that no waiver keeps a goroutine spawn:
+// bare spawns fire, the retired goroutine waiver directive is reported
+// as unknown and leaves the spawn it covered firing, and a waiver of
+// another category cannot mute one (and is itself reported stale).
 func TestGoroutineWaivers(t *testing.T) {
 	analysistest.Run(t, testdata, "goroutine/sim", determinism.Analyzer)
 }

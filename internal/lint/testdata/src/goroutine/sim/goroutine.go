@@ -1,34 +1,27 @@
-// Fixture for the goroutine-rule waiver: the package path ends in
-// "sim" so spawns are in scope, and //litegpu:go-ok is the only way to
-// keep one. It pins both sides of the contract — an audited spawn with
-// a reasoned waiver stays silent, everything else still fires.
+// Fixture for the goroutine rule: the package path ends in "sim", so
+// spawns are in scope, and no waiver can keep one — internal/sweep is
+// the only concurrency layer. The retired //litegpu:go-ok directive is
+// an unknown directive now, and the spawns it used to cover fire.
 package sim
 
 func work() {}
 
-// ShardWorker is the sanctioned shape: a spawn audited for determinism
-// (window-synchronized, merged in fixed order) carrying a reasoned
-// trailing waiver.
-func ShardWorker() {
-	go work() //litegpu:go-ok window-synchronized shard worker, merged in fixed pool order
-}
-
-// StandaloneWaived has the waiver on its own line, covering the spawn
-// on the next.
-func StandaloneWaived() {
-	//litegpu:go-ok command-channel worker; barriers make it deterministic
-	go work()
-}
-
-// Unwaived proves spawns stay forbidden by default.
+// Unwaived proves spawns are forbidden.
 func Unwaived() {
 	go work() // want "goroutine spawned in simulation package"
 }
 
-// Reasonless proves a bare waiver is malformed: the hygiene finding
-// fires and the spawn finding it meant to cover survives.
-func Reasonless() {
-	go work() //litegpu:go-ok // want "goroutine spawned in simulation package" "waiver needs a reason"
+// RetiredTrailing proves a trailing go-ok is unknown and waives
+// nothing: both the directive and the spawn are reported.
+func RetiredTrailing() {
+	go work() //litegpu:go-ok window-synchronized worker // want "goroutine spawned in simulation package" "unknown //litegpu: directive go-ok"
+}
+
+// RetiredStandalone is the same with the directive on its own line,
+// above the spawn it meant to cover.
+func RetiredStandalone() {
+	//litegpu:go-ok command-channel worker // want "unknown //litegpu: directive go-ok"
+	go work() // want "goroutine spawned in simulation package"
 }
 
 // WrongCategory proves waivers are category-precise: an ordered-ok
@@ -36,6 +29,3 @@ func Reasonless() {
 func WrongCategory() {
 	go work() //litegpu:ordered-ok not the right directive // want "goroutine spawned in simulation package" "stale //litegpu:ordered-ok waiver"
 }
-
-//litegpu:go-ok nothing spawns on the next line // want "stale //litegpu:go-ok waiver"
-func Stale() {}

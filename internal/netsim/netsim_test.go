@@ -333,7 +333,7 @@ func TestSnapshotRestoreReplay(t *testing.T) {
 	// Two flows share egress port 2; a third joins after the snapshot.
 	f.Start(0, 2, 1e6, 0, rec.handle, 1)
 	f.Start(1, 2, 2e6, 0, rec.handle, 2)
-	eng.RunBefore(5e3) // advance partway: both flows still in flight
+	eng.Run(5e3) // advance partway, before the first delivery: both flows still in flight
 	if len(rec.at) != 0 {
 		t.Fatalf("flows finished before the snapshot; test is vacuous")
 	}

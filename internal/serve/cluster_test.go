@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"litegpu/internal/failure"
@@ -350,5 +352,69 @@ func TestBlastRadiusScalesWithInstanceCount(t *testing.T) {
 	}
 	if math.Abs(mLite.BlastRadius-0.125) > 1e-12 {
 		t.Errorf("8-instance blast radius = %v, want 1/8", mLite.BlastRadius)
+	}
+}
+
+// TestMalformedRequestsReturnError pins that input the simulator cannot
+// serve ends the run with an error wrapping ErrMalformedRequest instead
+// of a panic or silently wrong metrics, on both the materialized and
+// the streaming entry points. An unsorted slice is sorted, not
+// rejected.
+func TestMalformedRequestsReturnError(t *testing.T) {
+	req := func(id int, at float64, prompt, output int) trace.Request {
+		return trace.Request{ID: id, Arrival: units.Seconds(at), PromptTokens: prompt, OutputTokens: output}
+	}
+	cases := []struct {
+		name    string
+		reqs    []trace.Request
+		stream  bool // feed reqs as a RequestSource, unsorted
+		wantErr string
+	}{
+		{name: "source-out-of-order", stream: true,
+			reqs:    []trace.Request{req(0, 1, 100, 10), req(1, 10, 100, 10), req(2, 5, 100, 10)},
+			wantErr: "request 2: arrival time 5 precedes the clock 10"},
+		{name: "nan-arrival",
+			reqs:    []trace.Request{req(0, 1, 100, 10), req(1, math.NaN(), 100, 10)},
+			wantErr: "request 1: arrival time is NaN"},
+		{name: "negative-arrival",
+			reqs:    []trace.Request{req(0, -2, 100, 10), req(1, 1, 100, 10)},
+			wantErr: "request 0: arrival time -2 is negative"},
+		{name: "negative-arrival-stream", stream: true,
+			reqs:    []trace.Request{req(0, -2, 100, 10)},
+			wantErr: "request 0: arrival time -2 is negative"},
+		{name: "negative-prompt",
+			reqs:    []trace.Request{req(0, 1, 100, 10), req(1, 2, -5, 10)},
+			wantErr: "request 1: negative token count (prompt -5, output 10)"},
+		{name: "negative-output",
+			reqs:    []trace.Request{req(0, 1, 100, -3)},
+			wantErr: "request 0: negative token count (prompt 100, output -3)"},
+		{name: "unsorted-slice-is-sorted",
+			reqs: []trace.Request{req(0, 10, 100, 10), req(1, 5, 100, 10), req(2, 1, 100, 10)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var m Metrics
+			var err error
+			if tc.stream {
+				m, err = RunFrom(smallConfig(), &sliceSource{reqs: tc.reqs}, 100)
+			} else {
+				m, err = Run(smallConfig(), tc.reqs, 100)
+			}
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				if m.Completed != len(tc.reqs) {
+					t.Fatalf("completed %d of %d requests", m.Completed, len(tc.reqs))
+				}
+				return
+			}
+			if !errors.Is(err, ErrMalformedRequest) {
+				t.Fatalf("err = %v, want one wrapping ErrMalformedRequest", err)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("err = %q, want it to mention %q", err, tc.wantErr)
+			}
+		})
 	}
 }

@@ -549,7 +549,7 @@ func (c *colocSched) completeStep(j int, now float64) {
 	}
 	e.stepEnd, e.stepPfx, e.stepDec = 0, 0, 0
 	e.stepPrefill, e.stepChunk = 0, 0
-	c.cs.requestDispatch(now)
+	c.cs.requestDispatch(c.pool, now)
 }
 
 // finishPrefill records the TTFT sample (exactly once per request, no

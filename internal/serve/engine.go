@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -210,6 +211,10 @@ type poolSim struct {
 	scaleLo  int
 	scaleHi  int
 	scaleMin int
+
+	// dispatchDirty marks a pool whose state changed since its last
+	// dispatch pass (see clusterSim.dispatch).
+	dispatchDirty bool
 
 	// rec is the cluster's observer, mirrored per pool so hook sites
 	// reach it without chasing the clusterSim; nil means observability
@@ -478,6 +483,13 @@ type RequestSource interface {
 	Next() (trace.Request, bool)
 }
 
+// ErrMalformedRequest is wrapped by the error a run returns when its
+// input holds a request the simulator cannot serve: a NaN or negative
+// arrival time, an arrival earlier than one already yielded (a
+// RequestSource out of order; materialized slices are sorted first), or
+// a negative prompt or output token count.
+var ErrMalformedRequest = errors.New("serve: malformed request")
+
 // sliceSource adapts a sorted materialized trace to RequestSource.
 type sliceSource struct {
 	reqs []trace.Request
@@ -501,6 +513,11 @@ type clusterSim struct {
 
 	rrNext          int
 	dispatchPending bool
+
+	// badReq is the error for the first malformed request pulled from
+	// src (see ErrMalformedRequest); once set, no further arrival is
+	// booked and the run returns it.
+	badReq error
 
 	// dispatchQ and retryQ are the calendar queues of the two bulk event
 	// classes that stay off the main heap: dispatch passes, always
@@ -556,18 +573,10 @@ func packArg(pool, id int) uint64 { return uint64(pool)<<32 | uint64(uint32(id))
 
 func unpackArg(arg uint64) (pool, id int) { return int(arg >> 32), int(uint32(arg)) }
 
+// newClusterSim builds a simulation of cc.Pools. Event priorities and
+// per-instance failure and straggler seeds derive from each pool's
+// index and each instance's cluster-wide index.
 func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
-	return newClusterSimAt(cc, horizon, 0, 0)
-}
-
-// newClusterSimAt builds a simulation of cc.Pools that behaves as if
-// those pools sat at global pool index poolBase (and global instance
-// index instBase) of a larger cluster: event priorities and
-// per-instance failure seeds use the global indices, so a shard
-// simulating pools [poolBase, poolBase+len(Pools)) evolves its pools
-// byte-identically to the sequential whole-cluster run. The sequential
-// path is the poolBase = instBase = 0 case.
-func newClusterSimAt(cc ClusterConfig, horizon float64, poolBase, instBase int) (*clusterSim, error) {
 	s := &clusterSim{
 		eng: sim.New(cc.Failures.Seed),
 		cc:  cc,
@@ -591,7 +600,7 @@ func newClusterSimAt(cc ClusterConfig, horizon float64, poolBase, instBase int) 
 	s.failMTTR = float64(fp.MTTR)
 	s.failRecovery = float64(fp.RecoveryTime)
 
-	globalInstance := instBase
+	globalInstance := 0
 	for pi, pool := range cc.Pools {
 		cfg := pool.Config
 		name := pool.Name
@@ -615,7 +624,7 @@ func newClusterSimAt(cc ClusterConfig, horizon float64, poolBase, instBase int) 
 			p.kvBlockTokens = cfg.KV.BlockTokensOrDefault()
 		}
 		p.eng = s.eng
-		p.prioBase = poolIndexBase(poolBase + pi)
+		p.prioBase = poolIndexBase(pi)
 		p.rec = s.rec
 		if s.rec != nil {
 			s.rec.SetPoolName(pi, name)
@@ -628,7 +637,7 @@ func newClusterSimAt(cc ClusterConfig, horizon float64, poolBase, instBase int) 
 			}
 			p.tracks = make(map[int]int32)
 			p.cancelled = make(map[int]int32)
-			p.clientRNG = mathx.NewRNG(mathx.DeriveSeed(cfg.Client.Seed, uint64(poolBase+pi)))
+			p.clientRNG = mathx.NewRNG(mathx.DeriveSeed(cfg.Client.Seed, uint64(pi)))
 		}
 		p.classesOn = len(cfg.Client.Classes) > 0 || cfg.Admission.Policy != AdmitAll
 		var err error
@@ -644,10 +653,9 @@ func newClusterSimAt(cc ClusterConfig, horizon float64, poolBase, instBase int) 
 		for id := 0; id < p.sched.numInstances(); id++ {
 			st := p.sched.state(id)
 			st.up = true
-			st.prio = poolIndexBase(poolBase+pi) + id
+			st.prio = p.prioBase + id
 			if cfg.Straggler.Enabled() {
-				// One persistent draw per global instance index, so shards
-				// and the sequential run see identical slow sets.
+				// One persistent draw per cluster-wide instance index.
 				st.slow = cfg.Straggler.Jitter.Draw(
 					mathx.NewRNG(mathx.DeriveSeed(cfg.Straggler.Seed, uint64(globalInstance))))
 			}
@@ -791,7 +799,7 @@ func (s *clusterSim) onXfer(now float64, arg uint64) {
 	}
 	p.dropLive(int32(idx))
 	p.freeXfer(int32(idx))
-	s.requestDispatch(now)
+	s.requestDispatch(p, now)
 }
 
 // startIngress charges a routed arrival's trip from the router to its
@@ -850,7 +858,7 @@ func sortedByArrival(reqs []trace.Request) bool {
 // sorted slice (the common case — generators emit arrivals in time
 // order) is used as-is across all pools and, in the planner, across
 // every candidate simulation.
-func (s *clusterSim) run(reqs []trace.Request) ClusterMetrics {
+func (s *clusterSim) run(reqs []trace.Request) (ClusterMetrics, error) {
 	sorted := reqs
 	if !sortedByArrival(reqs) {
 		// Identical sort to the pre-sim loop (including tie order).
@@ -872,23 +880,21 @@ func (s *clusterSim) run(reqs []trace.Request) ClusterMetrics {
 // runFrom executes the simulation pulling arrivals from src on demand
 // and assembles the metrics. Only the in-flight working set is held in
 // memory.
-func (s *clusterSim) runFrom(src RequestSource) ClusterMetrics {
+func (s *clusterSim) runFrom(src RequestSource) (ClusterMetrics, error) {
 	s.start(src)
 	s.eng.Run(s.h)
-	return s.assemble()
+	if s.badReq != nil {
+		return ClusterMetrics{}, s.badReq
+	}
+	return s.assemble(), nil
 }
 
-// start primes the calendar: the first arrival pulled from src and
-// every instance's first failure. A nil src means this simulation
-// receives no arrivals of its own — the sharded runner's JSQ
-// controller injects arrivals from outside, and a shard only books its
-// failure processes here.
+// start primes the calendar: the first arrival pulled from src, every
+// instance's first failure, the autoscale loops and the probe ticks.
 func (s *clusterSim) start(src RequestSource) {
 	s.src = src
-	if src != nil {
-		if r, ok := src.Next(); ok {
-			s.scheduleArrival(r)
-		}
+	if r, ok := src.Next(); ok {
+		s.scheduleArrival(r)
 	}
 
 	// Failure processes.
@@ -901,8 +907,6 @@ func (s *clusterSim) start(src RequestSource) {
 	}
 
 	// Autoscale control loops: one periodic tick per scaling pool.
-	// Booked here rather than at construction so shards (which call
-	// start too) run their own pools' loops.
 	for _, p := range s.pools {
 		if p.scaleOn {
 			s.eng.ScheduleCall(p.cfg.Autoscale.interval(),
@@ -956,20 +960,36 @@ func (s *clusterSim) onProbe(now float64, _ uint64) {
 	}
 }
 
-// scheduleArrival books the next pulled request's arrival event,
-// rejecting a source that violates the RequestSource ordering contract
-// with a diagnosable error instead of a bare engine panic.
+// scheduleArrival books the next pulled request's arrival event. A
+// malformed request (see ErrMalformedRequest) is recorded instead, and
+// booking nothing ends the arrival chain: the source is not pulled
+// again.
 //
 //litegpu:hotpath
 func (s *clusterSim) scheduleArrival(r trace.Request) {
 	at := float64(r.Arrival)
-	if at < s.eng.Now() || math.IsNaN(at) {
-		panic(fmt.Sprintf(
-			"serve: RequestSource yielded request %d arriving at %v after the clock reached %v; sources must yield nondecreasing, finite arrival times",
-			r.ID, r.Arrival, s.eng.Now()))
+	if !(at >= s.eng.Now()) || r.PromptTokens < 0 || r.OutputTokens < 0 {
+		s.rejectRequest(r)
+		return
 	}
 	s.nextReq = r
 	s.eng.ScheduleCall(at, prioArrival, s.arriveH, 0)
+}
+
+// rejectRequest records why r cannot be served, off the hot path.
+func (s *clusterSim) rejectRequest(r trace.Request) {
+	var why string
+	switch at, now := float64(r.Arrival), s.eng.Now(); {
+	case math.IsNaN(at):
+		why = "arrival time is NaN"
+	case at < 0:
+		why = fmt.Sprintf("arrival time %v is negative", at)
+	case at < now:
+		why = fmt.Sprintf("arrival time %v precedes the clock %v; a RequestSource must yield nondecreasing arrival times", at, now)
+	default:
+		why = fmt.Sprintf("negative token count (prompt %d, output %d)", r.PromptTokens, r.OutputTokens)
+	}
+	s.badReq = fmt.Errorf("%w: request %d: %s", ErrMalformedRequest, r.ID, why)
 }
 
 // arrive fires one arrival: route it, pull the next request from the
@@ -978,64 +998,51 @@ func (s *clusterSim) scheduleArrival(r trace.Request) {
 //
 //litegpu:hotpath
 func (s *clusterSim) arrive(now float64, _ uint64) {
-	s.route(s.nextReq, now)
+	p := s.route(s.nextReq, now)
 	if r, ok := s.src.Next(); ok {
 		s.scheduleArrival(r)
 	}
-	s.requestDispatch(now)
+	s.requestDispatch(p, now)
 }
 
-// jsqPick returns the join-shortest-queue pool index: least outstanding
-// work per live (up, unparked) instance. Shared by the sequential
-// router and the sharded runner's JSQ controller, which replicates the
-// same decision over its global pool view.
+// route assigns an arriving request to a pool — round robin, or join
+// shortest queue: least outstanding work per live (up, unparked)
+// instance — and returns the pool.
 //
 //litegpu:hotpath
-func jsqPick(pools []*poolSim) int {
-	best := math.Inf(1)
-	pick := 0
-	for i, cand := range pools {
-		outstanding := cand.sched.outstanding()
-		live := 0
-		for id := 0; id < cand.sched.numInstances(); id++ {
-			st := cand.sched.state(id)
-			if st.up && !st.parked {
-				live++
-			}
-		}
-		if live == 0 {
-			live = 1 // a fully-down pool still queues, at worst-case load
-			outstanding += 1 << 20
-		}
-		load := float64(outstanding) / float64(live)
-		if load < best {
-			best = load
-			pick = i
-		}
-	}
-	return pick
-}
-
-// route assigns an arriving request to a pool.
-//
-//litegpu:hotpath
-func (s *clusterSim) route(r trace.Request, now float64) {
-	var p *poolSim
+func (s *clusterSim) route(r trace.Request, now float64) *poolSim {
+	p := s.pools[0]
 	switch s.cc.Router {
 	case JoinShortestQueue:
-		p = s.pools[jsqPick(s.pools)]
+		best := math.Inf(1)
+		for _, cand := range s.pools {
+			outstanding := cand.sched.outstanding()
+			live := 0
+			for id := 0; id < cand.sched.numInstances(); id++ {
+				st := cand.sched.state(id)
+				if st.up && !st.parked {
+					live++
+				}
+			}
+			if live == 0 {
+				live = 1 // a fully-down pool still queues, at worst-case load
+				outstanding += 1 << 20
+			}
+			if load := float64(outstanding) / float64(live); load < best {
+				best, p = load, cand
+			}
+		}
 	default: // RoundRobin
 		p = s.pools[s.rrNext%len(s.pools)]
 		s.rrNext++
 	}
 	s.acceptArrival(p, r, now)
+	return p
 }
 
 // acceptArrival runs a routed request through the pool's frontend:
 // arrival accounting, the admission gate, and the client loop, then
-// queues it (directly, or over the fabric in multi-pool clusters). The
-// sharded runner's JSQ controller calls it on the owning shard, so
-// admission and client behavior are identical under sharding.
+// queues it (directly, or over the fabric in multi-pool clusters).
 //
 //litegpu:hotpath
 func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
@@ -1095,8 +1102,12 @@ func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
 	p.sched.enqueue(r)
 }
 
+// requestDispatch marks p as changed and books the instant's one
+// dispatch pass, if it is not booked already.
+//
 //litegpu:hotpath
-func (s *clusterSim) requestDispatch(now float64) {
+func (s *clusterSim) requestDispatch(p *poolSim, now float64) {
+	p.dispatchDirty = true
 	if s.dispatchPending {
 		return
 	}
@@ -1104,15 +1115,22 @@ func (s *clusterSim) requestDispatch(now float64) {
 	s.eng.ScheduleOn(s.dispatchQ, now, prioDispatch, s.dispatchH, 0)
 }
 
-// dispatch hands freed or newly queued work to idle engines across all
-// pools — the same pass the pre-sim loop ran at the end of every event
-// time.
+// dispatch hands freed or newly queued work to idle engines — the pass
+// the pre-sim loop ran at the end of every event time. It walks the
+// pools in index order but dispatches only those marked since their
+// last pass. Every state change that makes a pool's work dispatchable
+// marks that pool at that instant, so an unmarked pool has nothing
+// actionable and skipping it changes no result; a pass costs one flag
+// test per unchanged pool instead of a scan of its engines.
 //
 //litegpu:hotpath
 func (s *clusterSim) dispatch(now float64, _ uint64) {
 	s.dispatchPending = false
 	for _, p := range s.pools {
-		p.sched.dispatch(now)
+		if p.dispatchDirty {
+			p.dispatchDirty = false
+			p.sched.dispatch(now)
+		}
 	}
 }
 
@@ -1191,7 +1209,7 @@ func (s *clusterSim) failInstance(p *poolSim, id int, now float64) {
 	}
 	// Requeued work must reach surviving idle engines now, not at the
 	// next unrelated event.
-	s.requestDispatch(now)
+	s.requestDispatch(p, now)
 }
 
 //litegpu:hotpath
@@ -1221,21 +1239,16 @@ func (s *clusterSim) recoverInstance(p *poolSim, id int, now float64) {
 	}
 	p.sched.recovered(id, now)
 	s.scheduleFailure(p, id, now)
-	s.requestDispatch(now)
+	s.requestDispatch(p, now)
 }
 
 // --- metrics assembly --------------------------------------------------
 
+// assemble folds per-pool accumulators into ClusterMetrics, in pool
+// order; float summation order is part of the byte-identity contract.
+// It does not mutate the accumulators, so it may run more than once.
 func (s *clusterSim) assemble() ClusterMetrics {
-	return assemblePools(s.pools, s.h)
-}
-
-// assemblePools folds per-pool accumulators into ClusterMetrics. It is
-// a free function over the pool list so the sharded runner can merge
-// the pools of every shard — ordered by global pool index — through
-// the exact accumulation sequence the sequential path uses; float
-// summation order is part of the byte-identity contract.
-func assemblePools(pools []*poolSim, h float64) ClusterMetrics {
+	pools, h := s.pools, s.h
 	var cm ClusterMetrics
 	var (
 		allTTFT, allTBT, allE2E []float64

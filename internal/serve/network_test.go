@@ -49,6 +49,16 @@ func cpoCircuit() NetworkConfig {
 	return NetworkConfig{Fabric: FabricFlatCircuit, Link: LinkCPO, Switch: SwitchCircuit}
 }
 
+// runPool runs cs over reqs and returns its first pool's metrics.
+func runPool(t *testing.T, cs *clusterSim, reqs []trace.Request) Metrics {
+	t.Helper()
+	cm, err := cs.run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cm.Pools[0].Metrics
+}
+
 func mustRun(t *testing.T, cfg Config, reqs []trace.Request, horizon units.Seconds) Metrics {
 	t.Helper()
 	m, err := Run(cfg, reqs, horizon)
@@ -209,7 +219,7 @@ func TestTransferDstFailure(t *testing.T) {
 		// Pool-local instance 1 = first decode engine, the rotation's
 		// first pick.
 		failAt(cs, 0, 1, 3000)
-		return cs.run(reqs).Pools[0].Metrics
+		return runPool(t, cs, reqs)
 	}
 
 	req := run(RequeueOnFailure)
@@ -263,7 +273,7 @@ func TestTransferDstFailureRetargetSameNode(t *testing.T) {
 	failAt(cs, 0, 1, 0.001)
 	cs.eng.Schedule(100, prioFailure, func(now float64) { cs.recoverInstance(cs.pools[0], 1, now) })
 	failAt(cs, 0, 2, 3000)
-	m := cs.run(reqs).Pools[0].Metrics
+	m := runPool(t, cs, reqs)
 	if m.Requeued != 1 {
 		t.Fatalf("Requeued = %d, want 1", m.Requeued)
 	}
@@ -295,7 +305,7 @@ func TestTransferSrcFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	failAt(cs, 0, 0, 3000) // the only prefill engine
-	m := cs.run(reqs).Pools[0].Metrics
+	m := runPool(t, cs, reqs)
 	if m.Requeued != 1 {
 		t.Fatalf("Requeued = %d, want 1 (prompt back to prefill queue)", m.Requeued)
 	}

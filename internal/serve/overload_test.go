@@ -118,7 +118,10 @@ func TestClosedLoopLeaksNothing(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			m := s.run(reqs)
+			m, err := s.run(reqs)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 			if m.Total.Arrived == 0 {
 				t.Fatalf("%s: empty run", name)
 			}
@@ -247,55 +250,6 @@ func TestGracefulDegradationUnderFlashCrowd(t *testing.T) {
 				tc.name, open.UsefulGoodput, closed.UsefulGoodput, shed.UsefulGoodput,
 				paidClosed, paidShed, closed.TTFT.P99, shed.TTFT.P99)
 		})
-	}
-}
-
-// TestAutoscalerShardDeterminism runs an elastic, failure-injected,
-// closed-loop cluster at shard counts 1, 2, and 4 and requires
-// byte-identical metrics: the autoscaler's control loop, cold-start
-// warm-ups (including instances that die mid-warm-up under the
-// accelerated failure clock), and drain-first scale-downs are all
-// event-driven state inside each pool, so sharding must not observe
-// them.
-func TestAutoscalerShardDeterminism(t *testing.T) {
-	cfg := smallConfig()
-	cfg.DecodeInstances = 4
-	cfg.MaxDecodeBatch = 16
-	cfg.Client = ClientConfig{
-		Default: ClientBehavior{Timeout: 20, Retries: 2, BackoffBase: 1, Jitter: 0.5},
-		Seed:    13,
-	}
-	cfg.Admission = AdmissionConfig{Policy: AdmitAdaptive, QueueLimit: 32, Levels: 2}
-	cfg.Autoscale = AutoscaleConfig{
-		Enabled: true, Interval: 5, HighWater: 6, LowWater: 1, MinInstances: 1, WarmUp: 20,
-	}
-	cc := clusterOf(cfg, cfg, cfg, cfg)
-	cc.Router = JoinShortestQueue
-	cc.Failures = acceleratedFailures(0)
-	reqs := overloadTenants(t, 25, 75, 90)
-
-	run := func(shards int) string {
-		c := cc
-		c.Shards = shards
-		cm, err := RunCluster(c, reqs, 240)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if shards <= 1 {
-			if cm.Total.ScaleUps == 0 {
-				t.Fatal("scenario never scaled up — not exercising the autoscaler")
-			}
-			if cm.Total.FailureEvents == 0 {
-				t.Fatal("scenario saw no failures — not exercising warm-up/failure interaction")
-			}
-		}
-		return hexCluster(cm)
-	}
-	seq := run(1)
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); got != seq {
-			t.Errorf("shards=%d diverges from sequential run", shards)
-		}
 	}
 }
 

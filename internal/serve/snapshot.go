@@ -310,6 +310,7 @@ type clusterSnap struct {
 
 	rrNext          int
 	dispatchPending bool
+	dispatchDirty   []bool // per pool
 	nextReq         trace.Request
 	srcIdx          int
 
@@ -331,6 +332,7 @@ func (s *clusterSim) takeSnapshot(p *poolSim, id int, now float64) {
 		eng:             s.eng.Snapshot(),
 		rrNext:          s.rrNext,
 		dispatchPending: s.dispatchPending,
+		dispatchDirty:   make([]bool, len(s.pools)),
 		nextReq:         s.nextReq,
 		srcIdx:          ss.i,
 		pools:           make([]poolSnap, len(s.pools)),
@@ -343,6 +345,7 @@ func (s *clusterSim) takeSnapshot(p *poolSim, id int, now float64) {
 	}
 	for i, pl := range s.pools {
 		ps := &sn.pools[i]
+		sn.dispatchDirty[i] = pl.dispatchDirty
 		var reqs []savedReq
 		ps.sched, reqs = pl.sched.snapshot(nil)
 		// In-flight KV handoffs own their payload requests; ingress
@@ -404,6 +407,7 @@ func (s *clusterSim) restoreSnapshot() {
 	s.src.(*sliceSource).i = sn.srcIdx
 	for i, pl := range s.pools {
 		ps := &sn.pools[i]
+		pl.dispatchDirty = sn.dispatchDirty[i]
 		pl.sched.restore(ps.sched)
 		for _, sr := range ps.reqs {
 			*sr.a = sr.val
@@ -487,7 +491,10 @@ func runForkable(cfg Config, f FailureConfig, reqs []trace.Request, horizon unit
 		return Metrics{}, nil, err
 	}
 	s.snapOnFail = true
-	cm := s.run(reqs)
+	cm, err := s.run(reqs)
+	if err != nil {
+		return Metrics{}, nil, err
+	}
 	m := cm.Pools[0].Metrics
 	return m, &failureFork{sim: s, m: m}, nil
 }

@@ -317,7 +317,7 @@ func (sc *staticSched) completePrefill(i int, now float64) {
 		sc.finishPrefillReq(i, r, now)
 	}
 	e.batch = e.batch[:0]
-	sc.cs.requestDispatch(now)
+	sc.cs.requestDispatch(sc.pool, now)
 }
 
 // finishPrefillReq moves one prefilled request toward decode. Without
@@ -639,7 +639,7 @@ func (sc *staticSched) completeDecodeStep(j int, now float64) {
 	clearTail(e.active, w)
 	e.active = e.active[:w]
 	e.stepEnd = 0
-	sc.cs.requestDispatch(now)
+	sc.cs.requestDispatch(sc.pool, now)
 }
 
 // fail reclaims a dead instance's in-flight work: the unfinished pass's

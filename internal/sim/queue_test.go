@@ -251,8 +251,8 @@ func (o *oracle) remove(seq uint64) bool {
 }
 
 // FuzzCalendar drives random tapes of ScheduleCall, ScheduleOn (two
-// FIFO rings and a side heap), Cancel, Step, Run, RunBefore, Snapshot
-// and Restore against a sort-by-(time, priority, insertion) oracle.
+// FIFO rings and a side heap), Cancel, Step, Run, Snapshot and
+// Restore against a sort-by-(time, priority, insertion) oracle.
 // Every firing is checked in lockstep inside the handler, and Pending
 // and Next are checked after every operation. The time grid makes
 // equal-time ties common, includes +Inf, and books FIFO pushes out of
@@ -363,16 +363,10 @@ func checkCalendarTape(t *testing.T, tape []byte) {
 		case 4, 5:
 			until := e.Now() + delta
 			before := fired
-			var n int
-			if op == 4 {
-				n = e.Run(until)
-			} else {
-				n = e.RunBefore(until)
-			}
-			if n != fired-before {
+			if n := e.Run(until); n != fired-before {
 				t.Fatalf("op %d: run reported %d events, handlers saw %d", i, n, fired-before)
 			}
-			if m := o.min(); m >= 0 && (o.live[m].at < until || (op == 4 && mathx.ExactEq(o.live[m].at, until))) {
+			if m := o.min(); m >= 0 && o.live[m].at <= until {
 				t.Fatalf("op %d: run to %v left event %d at %v", i, until, o.live[m].seq, o.live[m].at)
 			}
 		case 6:

@@ -306,27 +306,6 @@ func (e *Engine) Run(until float64) int {
 	}
 }
 
-// RunBefore executes events in order while the next event lies strictly
-// before `until` (events at exactly `until` do NOT run — Run's
-// inclusive counterpart). It is the conservative-window primitive of
-// the sharded cluster runner: a shard advances through everything that
-// can causally precede a cross-shard event at `until`, then parks so
-// the coordinator can exchange state at exactly that instant. Returns
-// the number of events executed.
-//
-//litegpu:hotpath
-func (e *Engine) RunBefore(until float64) int {
-	n := 0
-	for {
-		q := e.top()
-		if q == nil || q.ents[q.head].at >= until {
-			return n
-		}
-		e.fire(q)
-		n++
-	}
-}
-
 // Step executes exactly one event if one is pending, reporting whether
 // it did. Tests use it to observe intermediate states.
 //
