@@ -46,9 +46,17 @@ func TestPercentile(t *testing.T) {
 		{1.0 / 3.0, 20},
 		{-0.5, 10}, // clamped
 		{1.5, 40},  // clamped
+		{math.NaN(), math.NaN()},
 	}
 	for _, tt := range tests {
-		if got := Percentile(xs, tt.q); math.Abs(got-tt.want) > 1e-9 {
+		got := Percentile(xs, tt.q)
+		if math.IsNaN(tt.want) {
+			if !math.IsNaN(got) {
+				t.Errorf("Percentile(%v) = %v, want NaN", tt.q, got)
+			}
+			continue
+		}
+		if math.Abs(got-tt.want) > 1e-9 {
 			t.Errorf("Percentile(%v) = %v, want %v", tt.q, got, tt.want)
 		}
 	}

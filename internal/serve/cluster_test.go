@@ -418,3 +418,51 @@ func TestMalformedRequestsReturnError(t *testing.T) {
 		})
 	}
 }
+
+// TestAssembleIsPureAndAllocationBounded pins the contract of metrics
+// assembly on a two-pool cluster with fabric transfers: assembling twice
+// gives identical metrics, the pools' latency and transfer samples are
+// neither permuted nor modified (the planner's fork path assembles the
+// same pools twice, and pool E2E sums read them in recorded order), and
+// the allocation count does not grow with the number of samples.
+func TestAssembleIsPureAndAllocationBounded(t *testing.T) {
+	h100, lite := h70Config(), l70Config()
+	h100.Network, lite.Network = pluggablePacket(), pluggablePacket()
+	cc := clusterOf(h100, lite)
+	cc.Router = JoinShortestQueue
+
+	allocs := make([]float64, 0, 2)
+	for _, horizon := range []units.Seconds{100, 400} {
+		cs, err := newClusterSim(cc, float64(horizon)+100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs.start(&sliceSource{reqs: codingTrace(t, 1.0, 7, horizon)})
+		cs.eng.Run(cs.h)
+
+		samples := func() [][]float64 {
+			var out [][]float64
+			for _, p := range cs.pools {
+				for _, xs := range [][]float64{p.ttfts, p.tbts, p.e2es, p.xferT, p.xferB} {
+					out = append(out, append([]float64(nil), xs...))
+				}
+			}
+			return out
+		}
+		before := samples()
+		first := cs.assemble()
+		if second := cs.assemble(); !reflect.DeepEqual(first, second) {
+			t.Errorf("horizon %v: assembling twice diverges:\n%+v\nvs\n%+v", horizon, first.Total, second.Total)
+		}
+		if after := samples(); !reflect.DeepEqual(before, after) {
+			t.Errorf("horizon %v: assemble modified the pools' samples", horizon)
+		}
+		if first.Total.TransferTime.N == 0 || first.Pools[0].Metrics.E2E.N == 0 || first.Pools[1].Metrics.E2E.N == 0 {
+			t.Fatalf("horizon %v: want transfers and completions in both pools, got %+v", horizon, first.Total)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(5, func() { cs.assemble() }))
+	}
+	if allocs[0] != allocs[1] || allocs[0] > 8 {
+		t.Errorf("assemble allocations = %v at 100 s and 400 s of samples; want the same small constant", allocs)
+	}
+}

@@ -1251,44 +1251,39 @@ func (s *clusterSim) assemble() ClusterMetrics {
 	pools, h := s.pools, s.h
 	var cm ClusterMetrics
 	var (
-		allTTFT, allTBT, allE2E []float64
-		allXferT, allXferB      []float64
-		ttftOK, tbtOK           int
-		pBusyGPU, dBusyGPU      float64
-		pGPUs, dGPUs            int
-		downFLOPSec             float64
-		totalFLOPs              float64
-		totalRate               float64
-		blastLoss               float64
-		goodTokens              int
-		usefulTokens            int
-		netSec, e2eSec          float64
-		kvHits, kvLookups       int
-		classTotals             []classAcc
+		nt, nb, ne, nx     int
+		ttftOK, tbtOK      int
+		pBusyGPU, dBusyGPU float64
+		pGPUs, dGPUs       int
+		downFLOPSec        float64
+		totalFLOPs         float64
+		totalRate          float64
+		blastLoss          float64
+		goodTokens         int
+		usefulTokens       int
+		netSec, e2eSec     float64
+		kvHits, kvLookups  int
+		classTotals        []classAcc
 	)
-	if len(pools) > 1 {
-		// Preallocate the cross-pool sample unions; the single-pool case
-		// below aliases the pool's samples instead.
-		var nt, nb, ne int
-		for _, p := range pools {
-			nt += len(p.ttfts)
-			nb += len(p.tbts)
-			ne += len(p.e2es)
-		}
-		allTTFT = make([]float64, 0, nt)
-		allTBT = make([]float64, 0, nb)
-		allE2E = make([]float64, 0, ne)
+	for _, p := range pools {
+		nt += len(p.ttfts)
+		nb += len(p.tbts)
+		ne += len(p.e2es)
+		nx += len(p.xferT)
 	}
+	// Every percentile selection, per pool and over the cluster union,
+	// runs in this one scratch buffer; the accumulators are only read.
+	buf := make([]float64, max(nt, nb, ne, nx))
 	for _, p := range pools {
 		m := &p.m
-		m.TTFT = mathx.Summarize(p.ttfts)
-		m.TBT = mathx.Summarize(p.tbts)
-		m.E2E = mathx.Summarize(p.e2es)
+		m.TTFT = mathx.SummarizeParts(buf, p.ttfts)
+		m.TBT = mathx.SummarizeParts(buf, p.tbts)
+		m.E2E = mathx.SummarizeParts(buf, p.e2es)
 		m.TTFTAttainmentCompleted = ratio(p.ttftOK, len(p.ttfts))
 		m.TTFTAttainment = ratio(p.ttftOK, m.Arrived-m.Dropped)
 		m.TBTAttainment = ratio(p.tbtOK, len(p.tbts))
-		m.TransferBytes = mathx.Summarize(p.xferB)
-		m.TransferTime = mathx.Summarize(p.xferT)
+		m.TransferBytes = mathx.SummarizeParts(buf, p.xferB)
+		m.TransferTime = mathx.SummarizeParts(buf, p.xferT)
 		var poolE2E float64
 		for _, v := range p.e2es {
 			poolE2E += v
@@ -1401,15 +1396,6 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		kvLookups += p.kvLookups
 		netSec += p.netSec
 		e2eSec += poolE2E
-		if len(pools) == 1 {
-			allTTFT, allTBT, allE2E = p.ttfts, p.tbts, p.e2es
-		} else {
-			allTTFT = append(allTTFT, p.ttfts...)
-			allTBT = append(allTBT, p.tbts...)
-			allE2E = append(allE2E, p.e2es...)
-			allXferT = append(allXferT, p.xferT...)
-			allXferB = append(allXferB, p.xferB...)
-		}
 		ttftOK += p.ttftOK
 		tbtOK += p.tbtOK
 		// Weight busy time by the GPUs behind it so the aggregate stays
@@ -1442,18 +1428,26 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		t.TTFT, t.TBT, t.E2E = m.TTFT, m.TBT, m.E2E
 		t.TransferBytes, t.TransferTime = m.TransferBytes, m.TransferTime
 	} else {
-		t.TTFT = mathx.Summarize(allTTFT)
-		t.TBT = mathx.Summarize(allTBT)
-		t.E2E = mathx.Summarize(allE2E)
-		t.TransferBytes = mathx.Summarize(allXferB)
-		t.TransferTime = mathx.Summarize(allXferT)
+		// The union is the pools' samples in pool order.
+		parts := make([][]float64, len(pools))
+		union := func(sample func(*poolSim) []float64) mathx.Summary {
+			for i, p := range pools {
+				parts[i] = sample(p)
+			}
+			return mathx.SummarizeParts(buf, parts...)
+		}
+		t.TTFT = union(func(p *poolSim) []float64 { return p.ttfts })
+		t.TBT = union(func(p *poolSim) []float64 { return p.tbts })
+		t.E2E = union(func(p *poolSim) []float64 { return p.e2es })
+		t.TransferBytes = union(func(p *poolSim) []float64 { return p.xferB })
+		t.TransferTime = union(func(p *poolSim) []float64 { return p.xferT })
 	}
 	if netSec > 0 && e2eSec > 0 {
 		t.NetworkBoundFraction = netSec / e2eSec
 	}
-	t.TTFTAttainmentCompleted = ratio(ttftOK, len(allTTFT))
+	t.TTFTAttainmentCompleted = ratio(ttftOK, nt)
 	t.TTFTAttainment = ratio(ttftOK, t.Arrived-t.Dropped)
-	t.TBTAttainment = ratio(tbtOK, len(allTBT))
+	t.TBTAttainment = ratio(tbtOK, nb)
 	t.KVCacheHitRate = ratio(kvHits, kvLookups)
 	if h > 0 {
 		t.PrefillUtilization = pBusyGPU / (h * float64(pGPUs))

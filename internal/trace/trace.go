@@ -395,8 +395,8 @@ func Summarize(reqs []Request, horizon units.Seconds) Stats {
 	if horizon > 0 {
 		s.MeanRate = float64(len(reqs)) / float64(horizon)
 	}
-	s.PromptMedian = mathx.Percentile(prompts, 0.5)
-	s.PromptP99 = mathx.Percentile(prompts, 0.99)
-	s.OutputMedian = mathx.Percentile(outputs, 0.5)
+	ps := mathx.Summarize(prompts)
+	s.PromptMedian, s.PromptP99 = ps.P50, ps.P99
+	s.OutputMedian = mathx.Summarize(outputs).P50
 	return s
 }
