@@ -15,8 +15,8 @@ import "litegpu/internal/obs"
 type (
 	// Observer records one run's telemetry; build one with NewObserver
 	// and attach it via ServeClusterConfig.Observer. Not safe for
-	// concurrent use: attaching an observer forces the (byte-identical)
-	// sequential cluster path.
+	// concurrent use: it belongs to one run, which runs on one
+	// goroutine.
 	Observer = obs.Recorder
 	// ObserverOptions configures an Observer: reservoir seed and size,
 	// probe interval, and an optional completion heartbeat callback.

@@ -82,13 +82,34 @@ type Event struct {
 	Val  float64
 }
 
-// slot is one reservoir entry: a sampled request's full timeline. The
-// events buffer is retained across evictions, so a long run cycles
-// through a fixed arena.
+// slot is one reservoir entry: a sampled request's n-event timeline,
+// held as a chain of arena chunks from head to tail (-1 while empty).
 type slot struct {
-	id      int64
-	arrival float64
-	events  []Event
+	id         int64
+	arrival    float64
+	head, tail int32
+	n          int32
+}
+
+// chunkEvents is the arena's chunk size. Most sampled timelines need
+// one or two chunks; an evicted slot hands its whole chain back to the
+// free list, so the arena holds only what the current residents need.
+const chunkEvents = 16
+
+// slabChunks is the arena's growth step: chunks are allocated this many
+// at a time, so the arena never copies and costs one allocation per
+// slabChunks chunks.
+const (
+	slabShift  = 8
+	slabChunks = 1 << slabShift
+)
+
+// chunk is one fixed-size piece of a timeline. next links the chain
+// (-1 ends it); chunks hold no pointers, so the collector never scans
+// the arena.
+type chunk struct {
+	events [chunkEvents]Event
+	next   int32
 }
 
 // DefaultSampleTargets bounds the reservoir: at most this many request
@@ -127,6 +148,13 @@ type Recorder struct {
 	live    map[int64]int32 // request id → slot, for tracked requests
 	cluster []Event         // instance-scoped events
 
+	// The timeline arena: chunk i is slabs[i>>slabShift][i&(slabChunks-1)];
+	// chunks below used have been handed out at least once, and free
+	// chains the ones evicted slots gave back.
+	slabs [][]chunk
+	used  int32
+	free  int32
+
 	probeInterval float64
 	probes        []ProbeSample
 
@@ -146,7 +174,9 @@ func New(o Options) *Recorder {
 	return &Recorder{
 		k:             k,
 		rng:           mathx.NewRNG(mathx.DeriveSeed(o.Seed, 0x0b5e)),
-		live:          make(map[int64]int32),
+		slots:         make([]slot, 0, k),
+		live:          make(map[int64]int32, k),
+		free:          -1,
 		probeInterval: o.ProbeInterval,
 		heartbeat:     o.Heartbeat,
 		poolNames:     nil,
@@ -175,8 +205,8 @@ func (r *Recorder) ProbeInterval() float64 { return r.probeInterval }
 // Request records one request-scoped event. An Arrival runs the
 // reservoir admission decision; every other kind is recorded only when
 // the request is currently tracked. Untracked requests cost one map
-// lookup. The method allocates only amortized slab growth, never per
-// event at steady state.
+// lookup. The method allocates only when the arena needs a fresh slab,
+// never per event.
 func (r *Recorder) Request(kind Kind, t float64, pool, inst int32, req int64, val float64) {
 	var idx int32
 	if kind == Arrival {
@@ -201,8 +231,57 @@ func (r *Recorder) Request(kind Kind, t float64, pool, inst int32, req int64, va
 	if idx < 0 {
 		return
 	}
-	s := &r.slots[idx]
-	s.events = append(s.events, Event{T: t, Kind: kind, Pool: pool, Inst: inst, Req: req, Val: val})
+	r.push(&r.slots[idx], Event{T: t, Kind: kind, Pool: pool, Inst: inst, Req: req, Val: val})
+}
+
+// chunk returns arena chunk i.
+func (r *Recorder) chunk(i int32) *chunk {
+	return &r.slabs[i>>slabShift][i&(slabChunks-1)]
+}
+
+// push appends e to s's timeline, linking a fresh chunk when the tail
+// is full.
+func (r *Recorder) push(s *slot, e Event) {
+	off := s.n % chunkEvents
+	if off == 0 {
+		c := r.alloc()
+		if s.head < 0 {
+			s.head = c
+		} else {
+			r.chunk(s.tail).next = c
+		}
+		s.tail = c
+	}
+	r.chunk(s.tail).events[off] = e
+	s.n++
+}
+
+// alloc hands out one chunk: the head of the free list, else the next
+// never-used chunk, cutting a new slab when the last one is exhausted.
+func (r *Recorder) alloc() int32 {
+	c := r.free
+	if c >= 0 {
+		r.free = r.chunk(c).next
+	} else {
+		c = r.used
+		r.used++
+		if int(c)>>slabShift == len(r.slabs) {
+			r.slabs = append(r.slabs, make([]chunk, slabChunks))
+		}
+	}
+	r.chunk(c).next = -1
+	return c
+}
+
+// timeline appends s's events to buf in recorded order.
+func (r *Recorder) timeline(s *slot, buf []Event) []Event {
+	left := s.n
+	for c := s.head; left > 0; c = r.chunk(c).next {
+		n := min(left, chunkEvents)
+		buf = append(buf, r.chunk(c).events[:n]...)
+		left -= n
+	}
+	return buf
 }
 
 // Adopt re-keys a tracked request's timeline to a retry submission's
@@ -234,7 +313,7 @@ func (r *Recorder) admit(id int64, t float64) int32 {
 	i := r.seen
 	r.seen++
 	if len(r.slots) < r.k {
-		r.slots = append(r.slots, slot{id: id, arrival: t})
+		r.slots = append(r.slots, slot{id: id, arrival: t, head: -1, tail: -1})
 		idx := int32(len(r.slots) - 1)
 		r.live[id] = idx
 		return idx
@@ -245,9 +324,11 @@ func (r *Recorder) admit(id int64, t float64) int32 {
 	}
 	v := &r.slots[j]
 	delete(r.live, v.id)
-	v.id = id
-	v.arrival = t
-	v.events = v.events[:0]
+	if v.head >= 0 {
+		r.chunk(v.tail).next = r.free
+		r.free = v.head
+	}
+	*v = slot{id: id, arrival: t, head: -1, tail: -1}
 	r.live[id] = int32(j)
 	return int32(j)
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -113,8 +115,8 @@ func TestAdoptExtendsTimelineAcrossRetry(t *testing.T) {
 	if s.id != 2 {
 		t.Fatalf("slot id = %d, want re-keyed to 2", s.id)
 	}
-	if len(s.events) != 4 {
-		t.Fatalf("timeline has %d events, want 4 (arrival..complete on one slot)", len(s.events))
+	if got := r.timeline(&s, nil); len(got) != 4 {
+		t.Fatalf("timeline has %d events, want 4 (arrival..complete on one slot)", len(got))
 	}
 	// Adopting an untracked id is a no-op.
 	r.Adopt(99, 100)
@@ -267,5 +269,75 @@ func TestPoolNames(t *testing.T) {
 	}
 	if got := r.poolName(1); got != "pool" {
 		t.Fatalf("gap pool renders %q", got)
+	}
+}
+
+// failWriter accepts the first limit bytes, then fails: the write that
+// crosses the limit keeps the bytes below it and returns errDisk. It
+// counts every write made after that failure.
+type failWriter struct {
+	limit  int
+	got    []byte
+	failed bool
+	late   int
+}
+
+var errDisk = errors.New("disk full")
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if w.failed {
+		w.late++
+		return 0, errDisk
+	}
+	if n := w.limit - len(w.got); len(p) > n {
+		w.got = append(w.got, p[:n]...)
+		w.failed = true
+		return n, errDisk
+	}
+	w.got = append(w.got, p...)
+	return len(p), nil
+}
+
+// TestExportsStopAtFirstWriteError: an export streams through a fixed
+// buffer, so a writer can fail part-way through. For a failure on the
+// first byte, inside the first flush and inside a later flush, each
+// export must return the writer's error, must have written exactly a
+// prefix of the full document, and must not write again after the
+// failure.
+func TestExportsStopAtFirstWriteError(t *testing.T) {
+	r := New(Options{Seed: 3, SampleTargets: 2000, ProbeInterval: 5})
+	fill(r, 5000)
+	for i := 0; i < 4000; i++ {
+		r.Probe(ProbeSample{T: float64(i/2+1) * 5, Pool: int32(i % 2), Queue: i % 7, Arrived: i, Completed: i / 2, Tokens: 10 * i, Events: uint64(i)})
+	}
+	exports := []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"trace", r.WriteTrace},
+		{"probes_csv", r.WriteProbesCSV},
+		{"probes_json", r.WriteProbesJSON},
+	}
+	for _, ex := range exports {
+		var full bytes.Buffer
+		if err := ex.write(&full); err != nil {
+			t.Fatal(err)
+		}
+		if full.Len() <= 2*exportBufSize {
+			t.Fatalf("%s: %d-byte document needs more than two flushes to test a late failure", ex.name, full.Len())
+		}
+		for _, limit := range []int{0, exportBufSize / 2, 2*exportBufSize + 100} {
+			w := &failWriter{limit: limit}
+			err := ex.write(w)
+			if !errors.Is(err, errDisk) {
+				t.Errorf("%s, fail after %d bytes: got error %v, want %v", ex.name, limit, err, errDisk)
+			}
+			if len(w.got) != limit || !bytes.Equal(w.got, full.Bytes()[:limit]) {
+				t.Errorf("%s, fail after %d bytes: wrote %d bytes, not the document's first %d", ex.name, limit, len(w.got), limit)
+			}
+			if w.late != 0 {
+				t.Errorf("%s, fail after %d bytes: %d writes after the failure", ex.name, limit, w.late)
+			}
+		}
 	}
 }

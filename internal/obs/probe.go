@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"io"
 	"strconv"
 )
@@ -50,10 +51,11 @@ const probeHeader = "time,pool,queue,live,parked,kv_blocks,net_inflight," +
 	"completed_w,shed_w,goodput,shed_rate,retry_rate,events\n"
 
 // WriteProbesCSV exports the probe series as CSV, one row per (tick,
-// pool), in capture order. Output is byte-deterministic.
+// pool), in capture order. Output is byte-deterministic and streams
+// through one fixed buffer.
 func (r *Recorder) WriteProbesCSV(w io.Writer) error {
-	buf := make([]byte, 0, 64+len(r.probes)*96)
-	buf = append(buf, probeHeader...)
+	out := bufio.NewWriterSize(w, exportBufSize)
+	buf := append(make([]byte, 0, 512), probeHeader...) // one row at a time
 	last := make(map[int32]ProbeSample, 8)
 	for _, s := range r.probes {
 		prev, ok := last[s.Pool]
@@ -65,7 +67,8 @@ func (r *Recorder) WriteProbesCSV(w io.Writer) error {
 		if dt <= 0 {
 			dt = 1
 		}
-		buf = strconv.AppendFloat(buf, s.T, 'g', -1, 64)
+		out.Write(buf) // a write error sticks in out; Flush returns it
+		buf = strconv.AppendFloat(buf[:0], s.T, 'g', -1, 64)
 		buf = append(buf, ',')
 		buf = strconv.AppendInt(buf, int64(s.Pool), 10)
 		for _, v := range [...]int{s.Queue, s.Live, s.Parked, s.KVBlocks, s.NetInFlight} {
@@ -96,15 +99,16 @@ func (r *Recorder) WriteProbesCSV(w io.Writer) error {
 		buf = strconv.AppendUint(buf, s.Events, 10)
 		buf = append(buf, '\n')
 	}
-	_, err := w.Write(buf)
-	return err
+	out.Write(buf)
+	return out.Flush()
 }
 
 // WriteProbesJSON exports the probe series as a JSON array of row
-// objects mirroring the CSV columns. Output is byte-deterministic.
+// objects mirroring the CSV columns. Output is byte-deterministic and
+// streams through one fixed buffer.
 func (r *Recorder) WriteProbesJSON(w io.Writer) error {
-	buf := make([]byte, 0, 64+len(r.probes)*192)
-	buf = append(buf, '[')
+	out := bufio.NewWriterSize(w, exportBufSize)
+	buf := append(make([]byte, 0, 512), '[') // one row at a time
 	last := make(map[int32]ProbeSample, 8)
 	for i, s := range r.probes {
 		prev, ok := last[s.Pool]
@@ -116,6 +120,8 @@ func (r *Recorder) WriteProbesJSON(w io.Writer) error {
 		if dt <= 0 {
 			dt = 1
 		}
+		out.Write(buf) // a write error sticks in out; Flush returns it
+		buf = buf[:0]
 		if i > 0 {
 			buf = append(buf, ',')
 		}
@@ -142,8 +148,8 @@ func (r *Recorder) WriteProbesJSON(w io.Writer) error {
 		buf = append(buf, '}')
 	}
 	buf = append(buf, "\n]\n"...)
-	_, err := w.Write(buf)
-	return err
+	out.Write(buf)
+	return out.Flush()
 }
 
 func appendKVInt(buf []byte, k string, v int64) []byte {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -197,6 +198,58 @@ func TestObserverDisabledAllocationFree(t *testing.T) {
 			if extra > 160 || extra > 0.5*float64(extraReqs) {
 				t.Errorf("%s: %d extra requests cost %.0f extra allocations with observer disabled (short %.0f, long %.0f)",
 					pol, extraReqs, extra, aShort, aLong)
+			}
+		})
+	}
+}
+
+// TestObserverAllocationsBoundedBySamples pins the live observer's
+// cost to its sample budget, not the trace length: with the default
+// 4096-timeline reservoir and 5 s probes attached, a run plus both
+// exports must allocate at most a fixed number of objects more than
+// the same run unobserved — at a trace that fits the reservoir and at
+// one four times longer that overflows it. Timelines live in a chunk
+// arena cut in slabs and the exports stream through one fixed buffer,
+// so neither per-request growth nor the document size shows up here.
+func TestObserverAllocationsBoundedBySamples(t *testing.T) {
+	const budget = 256
+	for _, pol := range SchedulerPolicies() {
+		pol := pol
+		t.Run(pol.String(), func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Scheduler = pol
+			for _, horizon := range []units.Seconds{300, 1200} {
+				reqs, err := trace.CodingWorkload(4.0, 7).Generate(horizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				allocs := func(observe bool) float64 {
+					return testing.AllocsPerRun(1, func() {
+						cc := clusterOf(cfg)
+						var rec *obs.Recorder
+						if observe {
+							rec = obs.New(obs.Options{Seed: 42, ProbeInterval: 5})
+							cc.Observer = rec
+						}
+						if _, err := RunCluster(cc, reqs, horizon+120); err != nil {
+							t.Fatal(err)
+						}
+						if rec == nil {
+							return
+						}
+						if err := rec.WriteTrace(io.Discard); err != nil {
+							t.Fatal(err)
+						}
+						if err := rec.WriteProbesCSV(io.Discard); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
+				bare, observed := allocs(false), allocs(true)
+				if extra := observed - bare; extra > budget {
+					t.Errorf("%s, %d requests: observer and exports cost %.0f extra allocations, budget %d (bare %.0f, observed %.0f)",
+						pol, len(reqs), extra, budget, bare, observed)
+				}
 			}
 		})
 	}
