@@ -542,10 +542,11 @@ func BenchmarkServingSimStream1M(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := ServeFrom(cfg, s, 560)
+		cm, err := ServeClusterFrom(ServeClusterConfig{Pools: []ServePool{{Name: cfg.GPU.Name, Config: cfg}}}, s, 560)
 		if err != nil {
 			b.Fatal(err)
 		}
+		m := cm.Pools[0].Metrics
 		if m.Arrived < 900_000 || m.Completed < m.Arrived*9/10 {
 			b.Fatalf("arrived %d completed %d: deployment fell behind", m.Arrived, m.Completed)
 		}
@@ -565,7 +566,7 @@ func BenchmarkServingSimMaterialized1M(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := Serve(cfg, reqs, 560)
+		m, err := serveOne(cfg, reqs, 560)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -650,7 +651,7 @@ func BenchmarkServingSimFabric(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := Serve(cfg, reqs, 420)
+		m, err := serveOne(cfg, reqs, 420)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -671,7 +672,7 @@ func BenchmarkServingSimFabricOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Serve(cfg, reqs, 420); err != nil {
+		if _, err := serveOne(cfg, reqs, 420); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -907,7 +908,7 @@ func BenchmarkServingSimPaged(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := Serve(cfg, reqs, 240)
+		m, err := serveOne(cfg, reqs, 240)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -946,7 +947,7 @@ func BenchmarkServingSimClosedLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := Serve(cfg, reqs, 240)
+		m, err := serveOne(cfg, reqs, 240)
 		if err != nil {
 			b.Fatal(err)
 		}

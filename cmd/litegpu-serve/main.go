@@ -47,9 +47,12 @@
 // With -plan, the instance-count flags are ignored (they are what the
 // planner searches over) and the capacity planner sizes the cheapest
 // deployment meeting the SLO targets instead; -horizon, the batch caps,
-// and explicitly-set -prefill-gpus/-decode-gpus TP degrees are honored,
-// and -scheduler auto sizes all three policies and keeps the cheapest
-// per Mtoken.
+// and explicitly-set -prefill-gpus/-decode-gpus TP degrees are honored.
+// The four candidate axes -scheduler, -fabric, -kv and -admission each
+// take one value, a comma-separated list, or auto (the axis's default
+// candidates), exactly as litegpu-sweep reads its axes; every
+// combination is sized and the cheapest feasible plan per Mtoken wins.
+// A serving run without -plan takes exactly one value per axis.
 // Combined with -afr the plan becomes availability-aware: a hot-spare
 // count joins the search (target -min-availability) and is priced into
 // the TCO:
@@ -57,10 +60,9 @@
 //	litegpu-serve -plan -gpu Lite -model Llama3-8B -rate 20 -ttft-attainment 0.99
 //	litegpu-serve -plan -gpu Lite -model Llama3-8B -rate 20 -afr 0.09 -min-availability 0.99999
 //
-// In plan mode -fabric can also be a comma-separated candidate list or
-// "auto": the fabric joins scheduler and spares as a search axis, each
+// A -fabric candidate list makes the fabric a search axis: each
 // candidate is simulated in the loop and priced at the resulting
-// deployment scale, and the cheapest feasible plan per Mtoken wins:
+// deployment scale:
 //
 //	litegpu-serve -plan -gpu Lite -model Llama3-70B -rate 20 -fabric auto
 //	litegpu-serve -plan -fabric clos:copper,flat-circuit:cpo:circuit
@@ -75,9 +77,7 @@
 //	litegpu-serve -kv recompute
 //	litegpu-serve -kv swap+prefix -workload agent -fabric clos:pluggable
 //
-// In plan mode -kv can also be a comma-separated candidate list or
-// "auto": the memory policy joins scheduler and fabric as a search
-// axis and the cheapest feasible plan per Mtoken wins:
+// As a plan axis, -kv sizes every memory policy listed:
 //
 //	litegpu-serve -plan -gpu Lite -model Llama3-8B -rate 20 -kv auto
 //
@@ -93,10 +93,10 @@
 //	    -admission adaptive -queue-limit 48
 //	litegpu-serve -autoscale -decode-instances 4 -flash 60:60:3
 //
-// In plan mode -admission can also be "auto": the gate joins scheduler,
-// fabric, and kv as a search axis and the cheapest feasible plan per
-// Mtoken wins. -straggler-cv gives every instance a persistent slow
-// factor so the plan holds on a fleet with realistic spread:
+// As a plan axis, -admission auto sizes all three gates (at
+// -queue-limit, default 64). -straggler-cv gives every instance a
+// persistent slow factor so the plan holds on a fleet with realistic
+// spread:
 //
 //	litegpu-serve -plan -rate 20 -client-timeout 30 -admission auto -queue-limit 64
 //	litegpu-serve -plan -rate 20 -straggler-cv 0.2 -straggler-tail lognormal
@@ -134,6 +134,7 @@ import (
 	"time"
 
 	"litegpu"
+	"litegpu/internal/cliaxis"
 )
 
 func main() {
@@ -149,7 +150,7 @@ func main() {
 	maxPrefill := flag.Int("max-prefill-batch", 4, "prompts fused per prefill pass")
 	maxDecode := flag.Int("max-decode-batch", 64, "continuous-batching cap")
 	workload := flag.String("workload", "coding", "workload shape: coding | conversation | agent (shared-prefix)")
-	scheduler := flag.String("scheduler", "static", "scheduling policy: static (phase-split) | continuous (batching) | chunked (prefill); plan mode also accepts auto (size all three, keep the cheapest)")
+	scheduler := flag.String("scheduler", "static", "scheduling policy: static (phase-split) | continuous (batching) | chunked (prefill); with -plan also a comma list or auto (all three)")
 	prefillChunk := flag.Int("prefill-chunk", 0, "chunked-prefill chunk size in prompt tokens (0 = default 512)")
 	afr := flag.Float64("afr", 0, "enable failure injection at this reference-package annualized failure rate (e.g. 0.09; 0 = off)")
 	spares := flag.Int("spares", 0, "hot spares per pool under failure injection")
@@ -157,12 +158,12 @@ func main() {
 	dropOnFailure := flag.Bool("drop-on-failure", false, "drop in-flight requests when their instance dies instead of requeueing")
 	secondGPU := flag.String("second-gpu", "", "add a second pool of this GPU type serving the same trace (heterogeneous cluster)")
 	router := flag.String("router", "rr", "arrival router across pools: rr (round-robin) | jsq (join-shortest-queue)")
-	fabricSpec := flag.String("fabric", "off", "put the network in the event loop: off, or fabric[:link[:switch]] with fabric clos | leaf-spine | flat-circuit, link copper | pluggable | cpo, switch packet | circuit; plan mode also accepts a comma-separated candidate list or auto (search the default candidates)")
-	linkName := flag.String("link", "", "default link technology for -fabric specs that omit one: copper | pluggable | cpo")
-	kvSpec := flag.String("kv", "off", "model decode KV-cache memory as a finite paged resource: off, or policy[+prefix] with policy recompute | swap; plan mode also accepts a comma-separated candidate list or auto (search the default candidates)")
-	kvBlocks := flag.Int("kv-blocks", 0, "override the per-instance KV block budget (0 = derive from HBM capacity net of weights)")
-	kvBlockTokens := flag.Int("kv-block-tokens", 0, "KV page size in tokens (0 = default 16)")
-	latScale := flag.Float64("fabric-latency-scale", 1, "multiply fabric path latency (sensitivity stress knob, like -failure-timescale for failures)")
+	fabricSpec := flag.String("fabric", "off", "put the network in the event loop: off, or fabric[:link[:switch]] with fabric clos | leaf-spine | flat-circuit, link copper | pluggable | cpo, switch packet | circuit; with -plan also a comma list or auto (the default candidates)")
+	linkName := flag.String("link", "", "default link technology for -fabric specs that omit one: copper | pluggable | cpo; needs an enabled -fabric")
+	kvSpec := flag.String("kv", "off", "model decode KV-cache memory as a finite paged resource: off, or policy[+prefix] with policy recompute | swap; with -plan also a comma list or auto (the default candidates)")
+	kvBlocks := flag.Int("kv-blocks", 0, "override the per-instance KV block budget (0 = derive from HBM capacity net of weights); needs an enabled -kv")
+	kvBlockTokens := flag.Int("kv-block-tokens", 0, "KV page size in tokens (0 = default 16); needs an enabled -kv")
+	latScale := flag.Float64("fabric-latency-scale", 1, "multiply fabric path latency (sensitivity stress knob, like -failure-timescale for failures); needs an enabled -fabric")
 	plan := flag.Bool("plan", false, "size the cheapest deployment meeting the SLO targets instead of simulating fixed pools")
 	ttftAttain := flag.Float64("ttft-attainment", 0.99, "plan mode: required fraction of requests meeting the TTFT limit")
 	tbtAttain := flag.Float64("tbt-attainment", 0.99, "plan mode: required fraction of requests meeting the TBT limit")
@@ -179,7 +180,7 @@ func main() {
 	clientBackoffCap := flag.Float64("client-backoff-cap", 0, "retry backoff ceiling in seconds (0 = default 30)")
 	clientJitter := flag.Float64("client-jitter", 0, "multiplicative backoff jitter in [0,1)")
 	ttftSLO := flag.Float64("ttft-slo", 0, "per-class TTFT SLO in seconds for closed-loop attainment accounting (0 = the option's TTFT limit)")
-	admission := flag.String("admission", "none", "overload gate: none | priority | adaptive; plan mode also accepts auto (search all three)")
+	admission := flag.String("admission", "none", "overload gate: none | priority | adaptive; with -plan also a comma list or auto (all three, at -queue-limit or 64)")
 	queueLimit := flag.Int("queue-limit", 0, "admission outstanding-work threshold (required for -admission priority/adaptive)")
 	minPriority := flag.Int("min-priority", 1, "-admission priority: arrivals below this priority shed at the limit")
 	admissionLevels := flag.Int("admission-levels", 0, "-admission adaptive: priority band count (0 = default 4)")
@@ -278,90 +279,63 @@ func main() {
 			failures.Policy = litegpu.DropOnFailure
 		}
 	}
-	var schedPolicies []litegpu.SchedulerPolicy
-	if *scheduler == "auto" {
-		if !*plan {
-			fatalf("-scheduler auto only applies with -plan; pick static, continuous, or chunked")
-		}
-		schedPolicies = litegpu.SchedulerPolicies()
-	} else {
-		pol, err := litegpu.ParseSchedulerPolicy(*scheduler)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		schedPolicies = []litegpu.SchedulerPolicy{pol}
-	}
-	parseFabric := func(spec string) litegpu.ServeNetworkConfig {
-		nc, err := litegpu.ParseNetworkConfigWithLink(spec, *linkName)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		return nc
-	}
-	var fabricCandidates []litegpu.ServeNetworkConfig
-	var fabric litegpu.ServeNetworkConfig
-	switch {
-	case *fabricSpec == "auto":
-		if !*plan {
-			fatalf("-fabric auto only applies with -plan; pick one fabric spec")
-		}
-		fabricCandidates = litegpu.DefaultFabricCandidates()
-	case strings.Contains(*fabricSpec, ","):
-		if !*plan {
-			fatalf("a -fabric candidate list only applies with -plan; pick one fabric spec")
-		}
-		for _, s := range strings.Split(*fabricSpec, ",") {
-			fabricCandidates = append(fabricCandidates, parseFabric(s))
-		}
-	default:
-		fabric = parseFabric(*fabricSpec)
-	}
-	// The latency stress knob applies uniformly, however the fabric
-	// set was specified.
-	if *latScale != 1 {
-		fabric.LatencyScale = *latScale
-		for i := range fabricCandidates {
-			fabricCandidates[i].LatencyScale = *latScale
+	// The four candidate axes share one syntax: one value, a comma list,
+	// or auto (the axis's default candidate set).
+	scheds := must(cliaxis.Parse("scheduler", *scheduler, litegpu.SchedulerPolicies, litegpu.ParseSchedulerPolicy))
+	fabrics := must(cliaxis.Parse("fabric", *fabricSpec, litegpu.DefaultFabricCandidates,
+		func(spec string) (litegpu.ServeNetworkConfig, error) {
+			return litegpu.ParseNetworkConfigWithLink(spec, *linkName)
+		}))
+	kvcs := must(cliaxis.Parse("kv", *kvSpec, litegpu.DefaultKVPolicyCandidates, litegpu.ParseKVConfig))
+	gates := must(cliaxis.Parse("admission", *admission, litegpu.AdmissionPolicies, litegpu.ParseAdmissionPolicy))
+	if !*plan {
+		for _, axis := range []struct {
+			name string
+			n    int
+		}{{"scheduler", len(scheds)}, {"fabric", len(fabrics)}, {"kv", len(kvcs)}, {"admission", len(gates)}} {
+			if axis.n != 1 {
+				fatalf("-%s takes exactly one value without -plan; lists and auto only apply with -plan", axis.name)
+			}
 		}
 	}
-	parseKV := func(spec string) litegpu.ServeKVConfig {
-		kc, err := litegpu.ParseKVConfig(spec)
-		if err != nil {
-			fatalf("%v", err)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	// The block and latency knobs apply to every enabled candidate; a
+	// zero config stays zero, keeping its infinite-memory or
+	// infinite-fabric meaning. A knob with no enabled candidate to tune
+	// is an error, not a silent no-op.
+	kvOn, netOn := false, false
+	for i := range kvcs {
+		if kvcs[i].Enabled() {
+			kvcs[i].Blocks, kvcs[i].BlockTokens = *kvBlocks, *kvBlockTokens
+			kvOn = true
 		}
-		return kc
 	}
-	var kvCandidates []litegpu.ServeKVConfig
-	var kvc litegpu.ServeKVConfig
-	switch {
-	case *kvSpec == "auto":
-		if !*plan {
-			fatalf("-kv auto only applies with -plan; pick one kv spec")
+	for i := range fabrics {
+		if fabrics[i].Enabled() && *latScale != 1 {
+			fabrics[i].LatencyScale = *latScale
 		}
-		kvCandidates = litegpu.DefaultKVPolicyCandidates()
-	case strings.Contains(*kvSpec, ","):
-		if !*plan {
-			fatalf("a -kv candidate list only applies with -plan; pick one kv spec")
-		}
-		for _, s := range strings.Split(*kvSpec, ",") {
-			kvCandidates = append(kvCandidates, parseKV(s))
-		}
-	default:
-		kvc = parseKV(*kvSpec)
+		netOn = netOn || fabrics[i].Enabled()
 	}
-	// The block knobs apply uniformly, however the kv set was
-	// specified — but only to enabled configs (the zero config must
-	// stay zero to keep its infinite-memory meaning).
-	applyKVKnobs := func(c *litegpu.ServeKVConfig) {
-		if !c.Enabled() {
-			return
+	for _, knob := range []struct {
+		name, axis string
+		on         bool
+	}{{"kv-blocks", "kv", kvOn}, {"kv-block-tokens", "kv", kvOn}, {"fabric-latency-scale", "fabric", netOn}, {"link", "fabric", netOn}} {
+		if set[knob.name] && !knob.on {
+			fatalf("-%s only applies with an enabled -%s", knob.name, knob.axis)
 		}
-		c.Blocks = *kvBlocks
-		c.BlockTokens = *kvBlockTokens
 	}
-	applyKVKnobs(&kvc)
-	for i := range kvCandidates {
-		applyKVKnobs(&kvCandidates[i])
+	// Auto adds the priority and adaptive gates at the default queue
+	// limit unless -queue-limit sets one; a listed gate needs it set.
+	ql := *queueLimit
+	if strings.TrimSpace(*admission) == "auto" && ql <= 0 {
+		ql = 64
+	}
+	adms := make([]litegpu.ServeAdmissionConfig, len(gates))
+	for i, pol := range gates {
+		if pol != litegpu.AdmitAll {
+			adms[i] = litegpu.ServeAdmissionConfig{Policy: pol, QueueLimit: ql, MinPriority: *minPriority, Levels: *admissionLevels}
+		}
 	}
 	var client litegpu.ServeClientConfig
 	if *clientTimeout > 0 {
@@ -375,34 +349,6 @@ func main() {
 				TTFTSLO:     litegpu.Seconds(*ttftSLO),
 			},
 			Seed: *seed,
-		}
-	}
-	var admCandidates []litegpu.ServeAdmissionConfig
-	var adm litegpu.ServeAdmissionConfig
-	if *admission == "auto" {
-		if !*plan {
-			fatalf("-admission auto only applies with -plan; pick none, priority, or adaptive")
-		}
-		ql := *queueLimit
-		if ql <= 0 {
-			ql = 64
-		}
-		admCandidates = []litegpu.ServeAdmissionConfig{
-			{},
-			{Policy: litegpu.AdmitPriority, QueueLimit: ql, MinPriority: *minPriority},
-			{Policy: litegpu.AdmitAdaptive, QueueLimit: ql, Levels: *admissionLevels},
-		}
-	} else {
-		pol, err := litegpu.ParseAdmissionPolicy(*admission)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		adm = litegpu.ServeAdmissionConfig{
-			Policy: pol, QueueLimit: *queueLimit,
-			MinPriority: *minPriority, Levels: *admissionLevels,
-		}
-		if pol == litegpu.AdmitAll {
-			adm = litegpu.ServeAdmissionConfig{}
 		}
 	}
 	var scale litegpu.ServeAutoscaleConfig
@@ -474,33 +420,28 @@ func main() {
 			Opts:            litegpu.DefaultOptions(),
 			Workload:        gen,
 			Horizon:         litegpu.Seconds(*horizon),
-			Schedulers:      schedPolicies,
+			Schedulers:      scheds,
 			PrefillChunk:    *prefillChunk,
 			MaxPrefillBatch: *maxPrefill,
 			MaxDecodeBatch:  *maxDecode,
 			MaxInstances:    *maxInstances,
 			Failures:        failures,
-			Network:         fabric,
-			Fabrics:         fabricCandidates,
-			KV:              kvc,
-			KVPolicies:      kvCandidates,
+			Fabrics:         fabrics,
+			KVPolicies:      kvcs,
 			Client:          client,
-			Admission:       adm,
-			Admissions:      admCandidates,
+			Admissions:      adms,
 			Autoscale:       scale,
 			Straggler:       strag,
 		}
 		// The instance-count flags are what the planner searches over,
 		// but an explicitly-set TP degree is a constraint to respect;
 		// left unset, the planner picks the smallest degree that fits.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "prefill-gpus":
-				req.PrefillGPUs = *prefillGPUs
-			case "decode-gpus":
-				req.DecodeGPUs = *decodeGPUs
-			}
-		})
+		if set["prefill-gpus"] {
+			req.PrefillGPUs = *prefillGPUs
+		}
+		if set["decode-gpus"] {
+			req.DecodeGPUs = *decodeGPUs
+		}
 		var ptrace *litegpu.PlanTrace
 		if *explain || *planTraceOut != "" {
 			ptrace = &litegpu.PlanTrace{}
@@ -592,7 +533,7 @@ func main() {
 		GPU:              gpu,
 		Model:            m,
 		Opts:             litegpu.DefaultOptions(),
-		Scheduler:        schedPolicies[0],
+		Scheduler:        scheds[0],
 		PrefillChunk:     *prefillChunk,
 		PrefillInstances: *prefillInst,
 		PrefillGPUs:      *prefillGPUs,
@@ -600,9 +541,9 @@ func main() {
 		DecodeGPUs:       *decodeGPUs,
 		MaxPrefillBatch:  *maxPrefill,
 		MaxDecodeBatch:   *maxDecode,
-		KV:               kvc,
+		KV:               kvcs[0],
 		Client:           client,
-		Admission:        adm,
+		Admission:        adms[0],
 		Autoscale:        scale,
 		Straggler:        strag,
 	}
@@ -610,7 +551,7 @@ func main() {
 		Pools:    []litegpu.ServePool{{Name: gpu.Name, Config: cfg}},
 		Router:   routerPolicy,
 		Failures: failures,
-		Network:  fabric,
+		Network:  fabrics[0],
 	}
 	if *secondGPU != "" {
 		g2, ok := litegpu.GPUByName(*secondGPU)
@@ -677,8 +618,8 @@ func main() {
 		fmt.Printf("failure injection: AFR %.2f ×%.0f, %d spares/pool, policy %s\n",
 			*afr, *timescale, *spares, map[bool]string{false: "requeue", true: "drop"}[*dropOnFailure])
 	}
-	if kvc.Enabled() {
-		fmt.Printf("kv memory: %s policy, %d-token blocks\n", kvc, kvc.BlockTokensOrDefault())
+	if kvOn {
+		fmt.Printf("kv memory: %s policy, %d-token blocks\n", kvcs[0], kvcs[0].BlockTokensOrDefault())
 	}
 	if multi != nil && len(multi.Classes) > 1 {
 		fmt.Printf("tenants: %s\n", *tenants)
@@ -686,18 +627,18 @@ func main() {
 	if *clientTimeout > 0 {
 		fmt.Printf("closed-loop clients: %.0fs deadline, %d retries\n", *clientTimeout, *clientRetries)
 	}
-	if adm.Policy != litegpu.AdmitAll {
+	if adm := adms[0]; adm.Policy != litegpu.AdmitAll {
 		fmt.Printf("admission: %s gate, queue limit %d\n", adm.Policy, adm.QueueLimit)
 	}
 	for i, pm := range cm.Pools {
 		pc := cc.Pools[i].Config // RunCluster reports pools in input order
 		fmt.Printf("pool %s: %s (%s scheduler), model %s\n",
 			pm.Name, describeDeployment(pc), pc.Scheduler, m.Name)
-		printMetrics("  ", pm.Metrics, failures.Enabled, kvc.Enabled())
+		printMetrics("  ", pm.Metrics, failures.Enabled, kvOn)
 	}
 	if len(cm.Pools) > 1 {
 		fmt.Printf("cluster total (router %s):\n", *router)
-		printMetrics("  ", cm.Total, failures.Enabled, kvc.Enabled())
+		printMetrics("  ", cm.Total, failures.Enabled, kvOn)
 	}
 	if recorder != nil {
 		if *traceOut != "" {
@@ -789,6 +730,14 @@ func parseF(s, what string) float64 {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		fatalf("bad %s %q: %v", what, s, err)
+	}
+	return v
+}
+
+// must returns v, or dies with err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		fatalf("%v", err)
 	}
 	return v
 }

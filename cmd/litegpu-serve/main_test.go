@@ -94,3 +94,44 @@ func compareGolden(t *testing.T, file, got string) {
 		t.Fatalf("stdout differs from %s\n--- got\n%s--- want\n%s", file, got, want)
 	}
 }
+
+// TestCLIRejects pins the flag combinations litegpu-serve refuses
+// instead of silently ignoring: a tuning knob whose axis is off, and a
+// list or auto for an axis outside -plan.
+func TestCLIRejects(t *testing.T) {
+	for _, tc := range []struct{ args, wantErr string }{
+		{"-kv off -kv-blocks 300", "-kv-blocks only applies with an enabled -kv"},
+		{"-kv-block-tokens 32", "-kv-block-tokens only applies with an enabled -kv"},
+		{"-fabric off -fabric-latency-scale 2", "-fabric-latency-scale only applies with an enabled -fabric"},
+		{"-link cpo", "-link only applies with an enabled -fabric"},
+		{"-plan -kv off -kv-blocks 300", "-kv-blocks only applies with an enabled -kv"},
+		{"-scheduler auto", "-scheduler takes exactly one value without -plan"},
+		{"-fabric off,clos", "-fabric takes exactly one value without -plan"},
+		{"-kv auto", "-kv takes exactly one value without -plan"},
+		{"-admission none,adaptive -queue-limit 8", "-admission takes exactly one value without -plan"},
+		{"-scheduler static,bogus -plan", "-scheduler: "},
+	} {
+		stdout, stderr, err := runCLI(t, tc.args)
+		if err == nil || !strings.Contains(stderr, tc.wantErr) {
+			t.Errorf("litegpu-serve %s: err %v, stderr %q; want failure mentioning %q", tc.args, err, stderr, tc.wantErr)
+		}
+		if stdout != "" {
+			t.Errorf("litegpu-serve %s: printed %q before failing", tc.args, stdout)
+		}
+	}
+}
+
+// TestCLIAcceptsKnobsOnEnabledAxes is TestCLIRejects' counterpart: the
+// same knobs run once their axis is on, in a serving run and in a plan
+// whose candidate list mixes an off and an on setting.
+func TestCLIAcceptsKnobsOnEnabledAxes(t *testing.T) {
+	for _, args := range []string{
+		"-horizon 30 -model Llama3-8B -prefill-gpus 1 -decode-gpus 1 -kv recompute -kv-blocks 3000 -kv-block-tokens 32",
+		"-horizon 30 -fabric clos -link pluggable -fabric-latency-scale 2",
+		"-plan -horizon 30 -gpu Lite -model Llama3-8B -rate 4 -kv off,recompute -kv-blocks 3000 -fabric off,clos -link cpo",
+	} {
+		if _, stderr, err := runCLI(t, args); err != nil {
+			t.Errorf("litegpu-serve %s: %v\n%s", args, err, stderr)
+		}
+	}
+}

@@ -17,6 +17,11 @@
 //	litegpu-sweep -kv off,recompute+prefix,swap+prefix  # add a KV-memory axis
 //	litegpu-sweep -admission none,adaptive -queue-limit 48 -client-timeout 15  # add an overload-gate axis
 //
+// Every axis flag (-gpus, -models, -workloads, -rates, -scheduler,
+// -fabric, -kv, -admission) takes one value or a comma-separated list,
+// and those with a default candidate set also take auto; litegpu-serve
+// -plan reads its candidate axes the same way.
+//
 // With -scheduler listing several policies, every grid point is
 // simulated once per policy on the identical trace and silicon, so the
 // scheduler columns are directly comparable.
@@ -53,23 +58,25 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
 
 	"litegpu"
+	"litegpu/internal/cliaxis"
 )
 
 func main() {
-	gpuList := flag.String("gpus", "", "comma-separated Table 1 GPU names (default: all six)")
-	modelList := flag.String("models", "", "comma-separated model presets (default: the three paper models)")
+	gpuList := flag.String("gpus", "", "Table 1 GPU names, or auto (default: all six)")
+	modelList := flag.String("models", "", "model presets, or auto (default: the three paper models)")
 	workloadList := flag.String("workloads", "coding,conversation", "workload shapes: coding | conversation | agent")
-	rateList := flag.String("rates", "0.5,1.5", "comma-separated arrival rates (req/s)")
-	schedList := flag.String("scheduler", "static", "comma-separated scheduling policies: static | continuous | chunked")
-	fabricList := flag.String("fabric", "off", "comma-separated fabric axis: off and/or fabric[:link[:switch]] specs (clos | leaf-spine | flat-circuit), each simulated in the event loop per grid point")
+	rateList := flag.String("rates", "0.5,1.5", "arrival rates (req/s)")
+	schedList := flag.String("scheduler", "static", "scheduling policies: static | continuous | chunked, or auto (all three)")
+	fabricList := flag.String("fabric", "off", "fabric axis: off and/or fabric[:link[:switch]] specs (clos | leaf-spine | flat-circuit), or auto (the default candidates), each simulated in the event loop per grid point")
 	linkName := flag.String("link", "", "default link technology for -fabric specs that omit one: copper | pluggable | cpo")
-	kvList := flag.String("kv", "off", "comma-separated KV-memory axis: off and/or policy[+prefix] specs (recompute | swap), each simulated per grid point")
-	admList := flag.String("admission", "none", "comma-separated overload-gate axis: none | priority | adaptive, each simulated per grid point")
+	kvList := flag.String("kv", "off", "KV-memory axis: off and/or policy[+prefix] specs (recompute | swap), or auto (the default candidates), each simulated per grid point")
+	admList := flag.String("admission", "none", "overload-gate axis: none | priority | adaptive, or auto (all three), each simulated per grid point")
 	queueLimit := flag.Int("queue-limit", 64, "admission outstanding-work threshold for the priority/adaptive gates")
 	clientTimeout := flag.Float64("client-timeout", 0, "closed-loop client deadline in seconds for every cell (0 = open-loop clients)")
 	clientRetries := flag.Int("client-retries", 1, "client retry budget when -client-timeout is set")
@@ -116,92 +123,58 @@ func main() {
 		Seed:             *seed,
 		Workers:          *workers,
 	}
-	for _, name := range splitList(*gpuList) {
-		g, ok := litegpu.GPUByName(name)
+	// Every axis flag shares one syntax: one value, a comma list, or
+	// auto (the axis's default set, where it has one).
+	spec.GPUs = must(cliaxis.Parse("gpus", *gpuList, litegpu.Table1, func(name string) (litegpu.GPU, error) {
+		if g, ok := litegpu.GPUByName(name); ok {
+			return g, nil
+		}
+		return litegpu.GPU{}, fmt.Errorf("unknown GPU %q", name)
+	}))
+	spec.Models = must(cliaxis.Parse("models", *modelList, litegpu.Models, func(name string) (litegpu.Transformer, error) {
+		if m, ok := litegpu.ModelByName(name); ok {
+			return m, nil
+		}
+		return litegpu.Transformer{}, fmt.Errorf("unknown model %q", name)
+	}))
+	spec.Workloads = must(cliaxis.Parse("workloads", *workloadList, nil, func(name string) (litegpu.SweepWorkload, error) {
+		mk, ok := map[string]func(float64, uint64) litegpu.Workload{
+			"coding": litegpu.CodingWorkload, "conversation": litegpu.ConversationWorkload, "agent": litegpu.AgentWorkload,
+		}[name]
 		if !ok {
-			fatalf("unknown GPU %q", name)
+			return litegpu.SweepWorkload{}, fmt.Errorf("unknown workload %q", name)
 		}
-		spec.GPUs = append(spec.GPUs, g)
-	}
-	for _, name := range splitList(*modelList) {
-		m, ok := litegpu.ModelByName(name)
-		if !ok {
-			fatalf("unknown model %q", name)
-		}
-		spec.Models = append(spec.Models, m)
-	}
-	for _, name := range splitList(*workloadList) {
-		switch name {
-		case "coding":
-			spec.Workloads = append(spec.Workloads, litegpu.SweepWorkload{Name: name, Make: litegpu.CodingWorkload})
-		case "conversation":
-			spec.Workloads = append(spec.Workloads, litegpu.SweepWorkload{Name: name, Make: litegpu.ConversationWorkload})
-		case "agent":
-			spec.Workloads = append(spec.Workloads, litegpu.SweepWorkload{Name: name, Make: litegpu.AgentWorkload})
-		default:
-			fatalf("unknown workload %q", name)
-		}
-	}
-	for _, s := range splitList(*rateList) {
+		return litegpu.SweepWorkload{Name: name, Make: mk}, nil
+	}))
+	spec.Rates = must(cliaxis.Parse("rates", *rateList, nil, func(s string) (float64, error) {
 		r, err := strconv.ParseFloat(s, 64)
 		if err != nil || r <= 0 {
-			fatalf("bad rate %q", s)
+			return 0, fmt.Errorf("bad rate %q", s)
 		}
-		spec.Rates = append(spec.Rates, r)
-	}
-	withSchedulers := false
-	for _, name := range splitList(*schedList) {
-		pol, err := litegpu.ParseSchedulerPolicy(name)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if pol != litegpu.StaticDisaggregated {
-			withSchedulers = true
-		}
-		spec.Schedulers = append(spec.Schedulers, pol)
-	}
-	withSchedulers = withSchedulers || len(spec.Schedulers) > 1
-
-	withFabrics := false
-	for _, s := range splitList(*fabricList) {
-		nc, err := litegpu.ParseNetworkConfigWithLink(s, *linkName)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if nc.Enabled() {
-			withFabrics = true
-		}
-		spec.Fabrics = append(spec.Fabrics, nc)
-	}
-	withFabrics = withFabrics || len(spec.Fabrics) > 1
-
-	withKV := false
-	for _, s := range splitList(*kvList) {
-		kc, err := litegpu.ParseKVConfig(s)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if kc.Enabled() {
-			withKV = true
-		}
-		spec.KVPolicies = append(spec.KVPolicies, kc)
-	}
-	withKV = withKV || len(spec.KVPolicies) > 1
-
-	withAdmissions := false
-	for _, name := range splitList(*admList) {
-		pol, err := litegpu.ParseAdmissionPolicy(name)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		return r, nil
+	}))
+	spec.Schedulers = must(cliaxis.Parse("scheduler", *schedList, litegpu.SchedulerPolicies, litegpu.ParseSchedulerPolicy))
+	spec.Fabrics = must(cliaxis.Parse("fabric", *fabricList, litegpu.DefaultFabricCandidates,
+		func(s string) (litegpu.ServeNetworkConfig, error) {
+			return litegpu.ParseNetworkConfigWithLink(s, *linkName)
+		}))
+	spec.KVPolicies = must(cliaxis.Parse("kv", *kvList, litegpu.DefaultKVPolicyCandidates, litegpu.ParseKVConfig))
+	gates := must(cliaxis.Parse("admission", *admList, litegpu.AdmissionPolicies, litegpu.ParseAdmissionPolicy))
+	for _, pol := range gates {
 		adm := litegpu.ServeAdmissionConfig{}
 		if pol != litegpu.AdmitAll {
 			adm = litegpu.ServeAdmissionConfig{Policy: pol, QueueLimit: *queueLimit, MinPriority: 1}
-			withAdmissions = true
 		}
 		spec.Admissions = append(spec.Admissions, adm)
 	}
-	withAdmissions = withAdmissions || len(spec.Admissions) > 1
+	// A column shows when its axis has several values or a non-default
+	// one.
+	withSchedulers := len(spec.Schedulers) > 1 || slices.ContainsFunc(spec.Schedulers,
+		func(p litegpu.SchedulerPolicy) bool { return p != litegpu.StaticDisaggregated })
+	withFabrics := len(spec.Fabrics) > 1 || slices.ContainsFunc(spec.Fabrics, litegpu.ServeNetworkConfig.Enabled)
+	withKV := len(spec.KVPolicies) > 1 || slices.ContainsFunc(spec.KVPolicies, litegpu.ServeKVConfig.Enabled)
+	withAdmissions := len(spec.Admissions) > 1 || slices.ContainsFunc(spec.Admissions,
+		func(a litegpu.ServeAdmissionConfig) bool { return a.Policy != litegpu.AdmitAll })
 	withClients := *clientTimeout > 0
 	if withClients {
 		spec.Client = litegpu.ServeClientConfig{
@@ -366,14 +339,12 @@ func deployment(c litegpu.ServeConfig) string {
 		c.PrefillInstances, c.PrefillGPUs, c.DecodeInstances, c.DecodeGPUs)
 }
 
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
+// must returns v, or dies with err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		fatalf("%v", err)
 	}
-	return out
+	return v
 }
 
 // stopProfile finalizes an in-progress CPU profile; set once profiling

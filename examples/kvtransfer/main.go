@@ -93,14 +93,15 @@ func main() {
 		h.Network = f.net
 		l := lite
 		l.Network = f.net
-		hm, err := litegpu.Serve(h, reqs, run)
-		if err != nil {
-			log.Fatal(err)
+		var ms [2]litegpu.ServeMetrics
+		for i, cfg := range []litegpu.ServeConfig{h, l} {
+			cm, err := litegpu.ServeCluster(litegpu.ServeClusterConfig{Pools: []litegpu.ServePool{{Config: cfg}}}, reqs, run)
+			if err != nil {
+				log.Fatal(err)
+			}
+			ms[i] = cm.Pools[0].Metrics
 		}
-		lm, err := litegpu.Serve(l, reqs, run)
-		if err != nil {
-			log.Fatal(err)
-		}
+		hm, lm := ms[0], ms[1]
 		fmt.Printf("%-38s %9.1f ms %9.1f ms %11.2f ms %9.1f%%\n",
 			f.name, hm.TTFT.Mean*1e3, lm.TTFT.Mean*1e3,
 			lm.TransferTime.Mean*1e3, lm.NetworkBoundFraction*100)

@@ -73,10 +73,14 @@ func main() {
 		// shows up as preemptions and recompute, not just queueing.
 		KV: litegpu.ServeKVConfig{Policy: litegpu.KVRecompute, Blocks: 2000},
 	}
-	ungated, err := litegpu.Serve(cfg, reqs, 300)
-	if err != nil {
-		panic(err)
+	serve := func(cfg litegpu.ServeConfig) litegpu.ServeMetrics {
+		cm, err := litegpu.ServeCluster(litegpu.ServeClusterConfig{Pools: []litegpu.ServePool{{Config: cfg}}}, reqs, 300)
+		if err != nil {
+			panic(err)
+		}
+		return cm.Pools[0].Metrics
 	}
+	ungated := serve(cfg)
 
 	gated := cfg
 	gated.Admission = litegpu.ServeAdmissionConfig{
@@ -84,10 +88,7 @@ func main() {
 		QueueLimit: 48,
 		Levels:     4,
 	}
-	shed, err := litegpu.Serve(gated, reqs, 300)
-	if err != nil {
-		panic(err)
-	}
+	shed := serve(gated)
 
 	fmt.Println("two tenants on 1xH100 prefill + 1xH100 decode, flash crowd 2x at t=30..90s")
 	fmt.Printf("%-22s %12s %14s\n", "", "no gate", "adaptive gate")

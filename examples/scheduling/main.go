@@ -83,10 +83,13 @@ func main() {
 				DecodeInstances: 1, DecodeGPUs: p.tp,
 				MaxPrefillBatch: 4, MaxDecodeBatch: 8,
 			}
-			m, err := litegpu.Serve(cfg, reqs, horizon) // no drain: backlog counts
+			cm, err := litegpu.ServeCluster(litegpu.ServeClusterConfig{
+				Pools: []litegpu.ServePool{{Config: cfg}},
+			}, reqs, horizon) // no drain: backlog counts
 			if err != nil {
 				log.Fatal(err)
 			}
+			m := cm.Pools[0].Metrics
 			fmt.Printf("  %-10s completed %4d/%4d  goodput %6.0f tok/s  TBT p99 %.1f ms  TTFT p99 %6.2f s\n",
 				pol, m.Completed, m.Arrived, m.Goodput, m.TBT.P99*1e3, m.TTFT.P99)
 		}

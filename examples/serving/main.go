@@ -48,10 +48,13 @@ func main() {
 			DecodeInstances: 1, DecodeGPUs: d.tp,
 			MaxPrefillBatch: 4, MaxDecodeBatch: 64,
 		}
-		m, err := litegpu.Serve(cfg, reqs, horizon+120)
+		cm, err := litegpu.ServeCluster(litegpu.ServeClusterConfig{
+			Pools: []litegpu.ServePool{{Config: cfg}},
+		}, reqs, horizon+120)
 		if err != nil {
 			log.Fatal(err)
 		}
+		m := cm.Pools[0].Metrics
 		fmt.Printf("== %s (TP=%d per engine) ==\n", d.name, d.tp)
 		fmt.Printf("  completed %d/%d, tokens %d\n", m.Completed, m.Arrived, m.TokensGenerated)
 		fmt.Printf("  TTFT p50/p99: %.0f / %.0f ms  (attainment %.1f%% of 1 s SLO)\n",

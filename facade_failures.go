@@ -33,12 +33,13 @@ const (
 	DropOnFailure     = serve.DropOnFailure
 )
 
-// ServeCluster simulates one or more serving pools — possibly of
-// different GPU types — serving a single request stream behind a router,
-// with optional GPU failure injection and hot spares. It is the
-// cluster-aware superset of Serve.
+// ServeCluster runs the discrete-event serving simulator: one or more
+// serving pools — possibly of different GPU types, or a single pool —
+// serving a materialized request stream (in any order) behind a router
+// until the horizon, with optional GPU failure injection and hot
+// spares. A one-pool cluster's metrics are in Pools[0].Metrics.
 func ServeCluster(cc ServeClusterConfig, reqs []Request, horizon Seconds) (ServeClusterMetrics, error) {
-	return serve.RunCluster(cc, reqs, horizon)
+	return serve.RunCluster(cc, serve.FromSlice(reqs), horizon)
 }
 
 // ServeClusterFrom is ServeCluster over a lazy request source
@@ -46,7 +47,7 @@ func ServeCluster(cc ServeClusterConfig, reqs []Request, horizon Seconds) (Serve
 // memory stays proportional to the in-flight working set regardless of
 // how many requests the horizon spans.
 func ServeClusterFrom(cc ServeClusterConfig, src RequestSource, horizon Seconds) (ServeClusterMetrics, error) {
-	return serve.RunClusterFrom(cc, src, horizon)
+	return serve.RunCluster(cc, src, horizon)
 }
 
 // FailureServingSpec parameterizes ServeWithFailures. Zero-value fields
@@ -162,13 +163,20 @@ func ServeWithFailures(spec FailureServingSpec) (FailureServingResult, error) {
 
 	fp := DefaultFailureParams(spec.RefAFR)
 	run := func(cfg ServeConfig, spares int) (ServeMetrics, error) {
-		return serve.RunWithFailures(cfg, ServeFailureConfig{
-			Enabled:   true,
-			Params:    fp,
-			Spares:    spares,
-			TimeScale: spec.TimeScale,
-			Seed:      spec.Seed,
+		cm, err := ServeCluster(ServeClusterConfig{
+			Pools: []ServePool{{Name: cfg.GPU.Name, Config: cfg}},
+			Failures: ServeFailureConfig{
+				Enabled:   true,
+				Params:    fp,
+				Spares:    spares,
+				TimeScale: spec.TimeScale,
+				Seed:      spec.Seed,
+			},
 		}, reqs, spec.Horizon)
+		if err != nil {
+			return ServeMetrics{}, err
+		}
+		return cm.Pools[0].Metrics, nil
 	}
 	var res FailureServingResult
 	res.Big.Config = bigCfg

@@ -133,21 +133,13 @@ func (s SweepSpec) withDefaults() SweepSpec {
 	if len(s.Rates) == 0 {
 		s.Rates = []float64{0.5, 1.5}
 	}
-	if len(s.Schedulers) == 0 {
-		s.Schedulers = []SchedulerPolicy{StaticDisaggregated}
-	}
 	if len(s.FailureModes) == 0 {
 		s.FailureModes = DefaultSweepFailureModes()
 	}
-	if len(s.Fabrics) == 0 {
-		s.Fabrics = []ServeNetworkConfig{{}}
-	}
-	if len(s.KVPolicies) == 0 {
-		s.KVPolicies = []ServeKVConfig{{}}
-	}
-	if len(s.Admissions) == 0 {
-		s.Admissions = []ServeAdmissionConfig{{}}
-	}
+	s.Schedulers = sweep.Values(s.Schedulers)
+	s.Fabrics = sweep.Values(s.Fabrics)
+	s.KVPolicies = sweep.Values(s.KVPolicies)
+	s.Admissions = sweep.Values(s.Admissions)
 	if s.Horizon <= 0 {
 		s.Horizon = 300
 	}
@@ -204,9 +196,11 @@ type SweepCell struct {
 
 // Sweep crosses GPU types × models × workloads × arrival rates ×
 // scheduling policies × failure modes × fabrics × KV-memory configs ×
-// admission gates and simulates a serving deployment for every combination, fanning
-// the grid over a worker pool. Cell order is the nested enumeration order of the spec
-// slices, and each cell's workload seed derives from its grid index —
+// admission gates and simulates a serving deployment for every
+// combination, fanning the grid over a worker pool. Cell order is the
+// sweep.Grid order of the spec slices in that sequence (the last axis
+// varies fastest), each cell's workload seed derives from its
+// workload×rate coordinate and its failure seed from its grid index —
 // so the returned slice is byte-identical whether it ran on one worker
 // or many.
 //
@@ -214,74 +208,45 @@ type SweepCell struct {
 // than failing the sweep.
 func Sweep(ctx context.Context, spec SweepSpec) ([]SweepCell, error) {
 	spec = spec.withDefaults()
-	type point struct {
-		gpu      GPU
-		model    Transformer
-		workload SweepWorkload
-		rate     float64
-		sched    SchedulerPolicy
-		failure  SweepFailureMode
-		fabric   ServeNetworkConfig
-		kvc      ServeKVConfig
-		adm      ServeAdmissionConfig
-	}
-	var points []point
-	for _, g := range spec.GPUs {
-		for _, m := range spec.Models {
-			for _, w := range spec.Workloads {
-				for _, r := range spec.Rates {
-					for _, sp := range spec.Schedulers {
-						for _, f := range spec.FailureModes {
-							for _, nc := range spec.Fabrics {
-								for _, kvc := range spec.KVPolicies {
-									for _, adm := range spec.Admissions {
-										points = append(points, point{gpu: g, model: m, workload: w, rate: r, sched: sp, failure: f, fabric: nc, kvc: kvc, adm: adm})
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
 	// The request stream depends only on (workload, rate): every GPU,
 	// model, scheduler, failure mode, and fabric at the same workload
 	// point faces the identical trace, so cross-hardware (and
 	// cross-policy, clean-vs-faulty, fabric-vs-fabric) comparisons
 	// within the grid are noise-free. The seed position is the
 	// workload×rate coordinate of the cell.
-	traceBlock := len(spec.Workloads) * len(spec.Rates)
-	innerModes := len(spec.Schedulers) * len(spec.FailureModes) * len(spec.Fabrics) * len(spec.KVPolicies) * len(spec.Admissions)
-
-	return sweep.RunN(ctx, spec.Workers, points,
-		func(_ context.Context, idx int, p point) (SweepCell, error) {
-			c := SweepCell{GPU: p.gpu.Name, Model: p.model.Name, Workload: p.workload.Name, Rate: p.rate,
-				Scheduler: p.sched.String(), Failure: p.failure.Name, Fabric: p.fabric.String(), KV: p.kvc.String(),
-				Admission: p.adm.Policy.String()}
-			pTP, err := inference.MinFeasibleTP(p.gpu, p.model, Prefill, spec.Opts)
+	grid := sweep.Grid(len(spec.GPUs), len(spec.Models), len(spec.Workloads), len(spec.Rates),
+		len(spec.Schedulers), len(spec.FailureModes), len(spec.Fabrics), len(spec.KVPolicies), len(spec.Admissions))
+	return sweep.RunN(ctx, spec.Workers, grid,
+		func(_ context.Context, idx int, at []int) (SweepCell, error) {
+			gpu, m, w, rate := spec.GPUs[at[0]], spec.Models[at[1]], spec.Workloads[at[2]], spec.Rates[at[3]]
+			sched, failure, fabric := spec.Schedulers[at[4]], spec.FailureModes[at[5]], spec.Fabrics[at[6]]
+			kvc, adm := spec.KVPolicies[at[7]], spec.Admissions[at[8]]
+			c := SweepCell{GPU: gpu.Name, Model: m.Name, Workload: w.Name, Rate: rate,
+				Scheduler: sched.String(), Failure: failure.Name, Fabric: fabric.String(), KV: kvc.String(),
+				Admission: adm.Policy.String()}
+			pTP, err := inference.MinFeasibleTP(gpu, m, Prefill, spec.Opts)
 			if err != nil {
 				c.Err = err.Error()
 				return c, nil
 			}
-			dTP, err := inference.MinFeasibleTP(p.gpu, p.model, Decode, spec.Opts)
+			dTP, err := inference.MinFeasibleTP(gpu, m, Decode, spec.Opts)
 			if err != nil {
 				c.Err = err.Error()
 				return c, nil
 			}
 			c.Config = ServeConfig{
-				GPU: p.gpu, Model: p.model, Opts: spec.Opts,
-				Scheduler:        p.sched,
+				GPU: gpu, Model: m, Opts: spec.Opts,
+				Scheduler:        sched,
 				PrefillInstances: spec.PrefillInstances, PrefillGPUs: pTP,
 				DecodeInstances: spec.DecodeInstances, DecodeGPUs: dTP,
 				MaxPrefillBatch: spec.MaxPrefillBatch, MaxDecodeBatch: spec.MaxDecodeBatch,
-				Network:   p.fabric,
-				KV:        p.kvc,
-				Admission: p.adm,
+				Network:   fabric,
+				KV:        kvc,
+				Admission: adm,
 				Client:    spec.Client,
 				Straggler: spec.Straggler,
 			}
-			gen := p.workload.Make(p.rate, mathx.DeriveSeed(spec.Seed, uint64((idx/innerModes)%traceBlock)))
+			gen := w.Make(rate, mathx.DeriveSeed(spec.Seed, uint64(at[2]*len(spec.Rates)+at[3])))
 			// Arrivals stream into the simulation on demand — no cell ever
 			// materializes its trace, so sweep memory is bounded by the
 			// in-flight working set per worker, not by horizon×rate.
@@ -292,14 +257,14 @@ func Sweep(ctx context.Context, spec SweepSpec) ([]SweepCell, error) {
 			}
 			cc := ServeClusterConfig{
 				Pools:    []ServePool{{Name: c.GPU, Config: c.Config}},
-				Failures: p.failure.Failures,
+				Failures: failure.Failures,
 			}
 			if idx == 0 {
 				cc.Observer = spec.Observer
 			}
 			// Each cell's failure processes get their own derived stream.
 			cc.Failures.Seed = mathx.DeriveSeed(spec.Seed^0xfa11, uint64(idx))
-			cm, err := serve.RunClusterFrom(cc, stream, spec.Horizon+spec.Drain)
+			cm, err := serve.RunCluster(cc, stream, spec.Horizon+spec.Drain)
 			if err != nil {
 				c.Err = err.Error()
 				return c, nil
@@ -328,7 +293,7 @@ type CapacityPlan = serve.Plan
 type CapacityRequest = serve.PlanRequest
 
 // PlanCapacityRequest runs the capacity planner with full control over
-// every knob. PlanCapacity and PlanCapacityOpts are conveniences over it.
+// every knob. PlanCapacity is a convenience over it.
 func PlanCapacityRequest(req CapacityRequest, slos CapacitySLO) (CapacityPlan, error) {
 	return serve.PlanCapacity(req, slos)
 }
@@ -341,20 +306,8 @@ func PlanCapacityRequest(req CapacityRequest, slos CapacitySLO) (CapacityPlan, e
 //
 // The workload's Rate field is overridden with `rate`; its Seed is used
 // as-is. Latency limits come from DefaultOptions (TTFT ≤ 1 s, TBT ≤
-// 50 ms); use PlanCapacityOpts for custom limits or sizing knobs.
+// 50 ms); use PlanCapacityRequest for custom limits or sizing knobs.
 func PlanCapacity(gpu GPU, m Transformer, w Workload, rate float64, slos CapacitySLO) (CapacityPlan, error) {
-	return PlanCapacityOpts(gpu, m, w, rate, slos, DefaultOptions(), 0)
-}
-
-// PlanCapacityOpts is PlanCapacity with explicit inference Options and a
-// per-pool instance-count ceiling (0 = default 64).
-func PlanCapacityOpts(gpu GPU, m Transformer, w Workload, rate float64, slos CapacitySLO, opts Options, maxInstances int) (CapacityPlan, error) {
 	w.Rate = rate
-	return PlanCapacityRequest(CapacityRequest{
-		GPU:          gpu,
-		Model:        m,
-		Opts:         opts,
-		Workload:     w,
-		MaxInstances: maxInstances,
-	}, slos)
+	return PlanCapacityRequest(CapacityRequest{GPU: gpu, Model: m, Opts: DefaultOptions(), Workload: w}, slos)
 }

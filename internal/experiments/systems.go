@@ -39,7 +39,7 @@ func NetworkStudy(endpoints int) []NetworkRow {
 	topos := []network.Topology{
 		network.DirectConnect(4, copper),
 		network.DirectConnect(4, cpo),
-		network.SingleSwitch(minInt(endpoints, network.PacketSwitch().Radix), cpo, network.PacketSwitch()),
+		network.SingleSwitch(min(endpoints, network.PacketSwitch().Radix), cpo, network.PacketSwitch()),
 		network.LeafSpine(endpoints, cpo, network.PacketSwitch()),
 		network.FlatCircuit(endpoints, cpo, network.CircuitSwitch()),
 	}
@@ -262,11 +262,13 @@ func ServingStudy(seed uint64) (ServingResult, error) {
 	if err != nil {
 		return ServingResult{}, err
 	}
-	m, err := serve.Run(cfg, reqs, 420)
+	cm, err := serve.RunCluster(serve.ClusterConfig{
+		Pools: []serve.Pool{{Name: cfg.GPU.Name, Config: cfg}},
+	}, serve.FromSlice(reqs), 420)
 	if err != nil {
 		return ServingResult{}, err
 	}
-	return ServingResult{Config: cfg, Metrics: m}, nil
+	return ServingResult{Config: cfg, Metrics: cm.Pools[0].Metrics}, nil
 }
 
 // RenderServingStudy writes the serving-simulation report.
@@ -364,47 +366,29 @@ func servingGrid(seed uint64, workers int) ([]ServingGridCell, error) {
 	scheds := serve.SchedulerPolicies()
 	modes := GridFailureModes()
 
-	type gridPoint struct {
-		cell ServingGridCell
-		mode GridFailureMode
-	}
-	var points []gridPoint
-	for _, d := range deployments {
-		for _, r := range rates {
-			for _, sp := range scheds {
-				for _, fm := range modes {
-					cfg := d.cfg
-					cfg.Scheduler = sp
-					points = append(points, gridPoint{
-						cell: ServingGridCell{Label: d.label, Rate: r, Scheduler: sp.String(), Failure: fm.Name, Config: cfg},
-						mode: fm,
-					})
-				}
-			}
-		}
-	}
-	inner := len(scheds) * len(modes)
-	return sweep.RunN(context.Background(), workers, points,
-		func(_ context.Context, idx int, p gridPoint) (ServingGridCell, error) {
-			c := p.cell
-			// Seed by rate position, not flat cell index: the deployments,
-			// schedulers, and failure modes being compared at one rate
-			// must face the identical request stream, or their metric
-			// differences would partly be trace noise rather than hardware
-			// or policy.
-			gen := trace.CodingWorkload(c.Rate, mathx.DeriveSeed(seed, uint64((idx/inner)%len(rates))))
+	return sweep.RunN(context.Background(), workers, sweep.Grid(len(deployments), len(rates), len(scheds), len(modes)),
+		func(_ context.Context, idx int, at []int) (ServingGridCell, error) {
+			d, rate, sp, fm := deployments[at[0]], rates[at[1]], scheds[at[2]], modes[at[3]]
+			c := ServingGridCell{Label: d.label, Rate: rate, Scheduler: sp.String(), Failure: fm.Name, Config: d.cfg}
+			c.Config.Scheduler = sp
+			// Seed by rate coordinate, not flat cell index: the
+			// deployments, schedulers, and failure modes being compared at
+			// one rate must face the identical request stream, or their
+			// metric differences would partly be trace noise rather than
+			// hardware or policy.
+			gen := trace.CodingWorkload(rate, mathx.DeriveSeed(seed, uint64(at[1])))
 			reqs, err := gen.Generate(300)
 			if err != nil {
 				return ServingGridCell{}, err
 			}
 			cc := serve.ClusterConfig{
 				Pools:    []serve.Pool{{Name: c.Label, Config: c.Config}},
-				Failures: p.mode.Failures,
+				Failures: fm.Failures,
 			}
 			// The failure processes get their own per-cell stream so the
 			// grid stays byte-identical at any worker count.
 			cc.Failures.Seed = mathx.DeriveSeed(seed^0xfa11, uint64(idx))
-			cm, err := serve.RunCluster(cc, reqs, 420)
+			cm, err := serve.RunCluster(cc, serve.FromSlice(reqs), 420)
 			if err != nil {
 				return ServingGridCell{}, fmt.Errorf("experiments: %s @ %.1f req/s (%s): %w", c.Label, c.Rate, c.Failure, err)
 			}
@@ -441,11 +425,4 @@ func RenderServingGrid(w io.Writer, seed uint64) error {
 		[]string{"Deployment", "req/s", "Sched", "Failures", "Done", "Drop", "TTFT p99", "TBT p99", "TTFT att.", "TBT att.", "Avail/Ev", "Util P/D"},
 		rows)
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

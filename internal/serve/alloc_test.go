@@ -12,7 +12,7 @@ import (
 func allocsForTrace(t *testing.T, cfg Config, reqs []trace.Request, horizon units.Seconds) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(3, func() {
-		if _, err := Run(cfg, reqs, horizon); err != nil {
+		if _, err := runOne(cfg, reqs, horizon); err != nil {
 			t.Fatal(err)
 		}
 	})

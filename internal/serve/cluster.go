@@ -5,7 +5,6 @@ import (
 
 	"litegpu/internal/failure"
 	"litegpu/internal/obs"
-	"litegpu/internal/trace"
 	"litegpu/internal/units"
 )
 
@@ -110,8 +109,8 @@ type ClusterConfig struct {
 	// pool contend with another pool's, and (with several pools)
 	// routed arrivals pay an ingress transfer from the router to their
 	// pool. When zero, the first pool with an enabled Config.Network
-	// supplies the cluster fabric (which is how the single-pool Run
-	// entry points promote their Config.Network); pools must not
+	// supplies the cluster fabric (which is how a single-pool cluster
+	// built from one Config picks up its Config.Network); pools must not
 	// disagree.
 	Network NetworkConfig
 
@@ -196,18 +195,22 @@ type ClusterMetrics struct {
 }
 
 // RunCluster simulates the cluster serving the request stream until the
-// horizon on the shared internal/sim event engine. Requests are routed
-// to pools on arrival, every pool runs its own phase-split engines, and
-// (when enabled) GPU failures down instances mid-run, with hot spares
-// restoring capacity after a takeover delay. reqs may be in any order;
-// a request the simulator cannot serve ends the run with an error
-// wrapping ErrMalformedRequest.
+// horizon on the shared internal/sim event engine. It is the simulator's
+// one run entry point: arrivals are pulled from src on demand (in
+// nondecreasing arrival order), so the simulation holds only the
+// in-flight working set; wrap a materialized trace with FromSlice.
+// Requests are routed to pools on arrival, every pool runs its own
+// scheduler, and (when enabled) GPU failures down instances mid-run,
+// with hot spares restoring capacity after a takeover delay. A request
+// the simulator cannot serve ends the run with an error wrapping
+// ErrMalformedRequest.
 //
-// Determinism: identical inputs produce byte-identical ClusterMetrics.
-// All randomness flows through per-instance streams derived from
+// Determinism: identical inputs produce byte-identical ClusterMetrics,
+// whether the same requests arrive from a slice or a stream. All
+// randomness flows through per-instance streams derived from
 // FailureConfig.Seed; request order ties resolve by pool and engine
 // index.
-func RunCluster(cc ClusterConfig, reqs []trace.Request, horizon units.Seconds) (ClusterMetrics, error) {
+func RunCluster(cc ClusterConfig, src RequestSource, horizon units.Seconds) (ClusterMetrics, error) {
 	if err := cc.Validate(); err != nil {
 		return ClusterMetrics{}, err
 	}
@@ -215,24 +218,7 @@ func RunCluster(cc ClusterConfig, reqs []trace.Request, horizon units.Seconds) (
 	if err != nil {
 		return ClusterMetrics{}, err
 	}
-	return sim.run(reqs)
-}
-
-// RunClusterFrom is RunCluster over a lazy request source: arrivals are
-// pulled from src on demand (in nondecreasing arrival order), so the
-// simulation holds only the in-flight working set — a million-request
-// horizon runs in O(in-flight) memory instead of materializing the
-// trace. For the same request sequence it produces byte-identical
-// ClusterMetrics to RunCluster.
-func RunClusterFrom(cc ClusterConfig, src RequestSource, horizon units.Seconds) (ClusterMetrics, error) {
-	if err := cc.Validate(); err != nil {
-		return ClusterMetrics{}, err
-	}
-	sim, err := newClusterSim(cc, float64(horizon))
-	if err != nil {
-		return ClusterMetrics{}, err
-	}
-	return sim.runFrom(src)
+	return sim.run(src)
 }
 
 func ratio(num, den int) float64 {

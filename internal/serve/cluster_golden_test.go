@@ -143,7 +143,7 @@ func TestClusterGoldens(t *testing.T) {
 				reqs = slices.Clone(sc.reqs)
 				slices.Reverse(reqs)
 			}
-			cm, err := RunCluster(sc.cluster, reqs, sc.horizon)
+			cm, err := RunCluster(sc.cluster, FromSlice(reqs), sc.horizon)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +152,7 @@ func TestClusterGoldens(t *testing.T) {
 			}
 			got := hexCluster(cm)
 			if sc.reverse {
-				sorted, err := RunCluster(sc.cluster, sc.reqs, sc.horizon)
+				sorted, err := RunCluster(sc.cluster, FromSlice(sc.reqs), sc.horizon)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -56,11 +56,11 @@ func TestSinglePoolClusterMatchesRun(t *testing.T) {
 	// the aggregate must both match field-for-field.
 	cfg := smallConfig()
 	reqs := codingTrace(t, 1.0, 7, 200)
-	m, err := Run(cfg, reqs, 400)
+	m, err := runOne(cfg, reqs, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := RunCluster(clusterOf(cfg), reqs, 400)
+	cm, err := RunCluster(clusterOf(cfg), FromSlice(reqs), 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSinglePoolClusterMatchesRun(t *testing.T) {
 }
 
 func TestNoFailuresReportsIdealReliability(t *testing.T) {
-	m, err := Run(smallConfig(), codingTrace(t, 0.5, 42, 120), 240)
+	m, err := runOne(smallConfig(), codingTrace(t, 0.5, 42, 120), 240)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +116,13 @@ func failureTrace(t *testing.T) []trace.Request {
 func TestFailureInjectionDegradesService(t *testing.T) {
 	cfg := smallConfig()
 	reqs := failureTrace(t)
-	clean, err := Run(cfg, reqs, 300)
+	clean, err := runOne(cfg, reqs, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cc := clusterOf(cfg)
 	cc.Failures = acceleratedFailures(0)
-	faulty, err := RunCluster(cc, reqs, 300)
+	faulty, err := RunCluster(cc, FromSlice(reqs), 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestDropPolicyDropsInFlight(t *testing.T) {
 	cc := clusterOf(cfg)
 	cc.Failures = acceleratedFailures(0)
 	cc.Failures.Policy = DropOnFailure
-	cm, err := RunCluster(cc, reqs, 300)
+	cm, err := RunCluster(cc, FromSlice(reqs), 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestHotSparesRestoreCapacity(t *testing.T) {
 	run := func(spares int) Metrics {
 		cc := clusterOf(cfg)
 		cc.Failures = acceleratedFailures(spares)
-		cm, err := RunCluster(cc, reqs, 300)
+		cm, err := RunCluster(cc, FromSlice(reqs), 300)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,11 +200,11 @@ func TestFailureRunIsDeterministic(t *testing.T) {
 	reqs := codingTrace(t, 1.5, 3, 200)
 	cc := clusterOf(cfg)
 	cc.Failures = acceleratedFailures(1)
-	a, err := RunCluster(cc, reqs, 300)
+	a, err := RunCluster(cc, FromSlice(reqs), 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCluster(cc, reqs, 300)
+	b, err := RunCluster(cc, FromSlice(reqs), 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestHeterogeneousPoolsServeOneTrace(t *testing.T) {
 	for _, router := range []RouterPolicy{RoundRobin, JoinShortestQueue} {
 		cc := clusterOf(h100, lite)
 		cc.Router = router
-		cm, err := RunCluster(cc, reqs, 500)
+		cm, err := RunCluster(cc, FromSlice(reqs), 500)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestRoundRobinSplitsEvenly(t *testing.T) {
 	reqs := codingTrace(t, 2.0, 23, 200)
 	cc := clusterOf(cfg, cfg)
 	cc.Router = RoundRobin
-	cm, err := RunCluster(cc, reqs, 400)
+	cm, err := RunCluster(cc, FromSlice(reqs), 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestJSQAvoidsSlowPool(t *testing.T) {
 
 	ccJSQ := clusterOf(slow, fast)
 	ccJSQ.Router = JoinShortestQueue
-	jsq, err := RunCluster(ccJSQ, reqs, 400)
+	jsq, err := RunCluster(ccJSQ, FromSlice(reqs), 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestJSQRoutesAroundFailures(t *testing.T) {
 	cc.Router = JoinShortestQueue
 	cc.Failures = acceleratedFailures(1)
 	reqs := codingTrace(t, 2.0, 31, 300)
-	cm, err := RunCluster(cc, reqs, 420)
+	cm, err := RunCluster(cc, FromSlice(reqs), 420)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,17 +310,17 @@ func TestJSQRoutesAroundFailures(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := RunCluster(ClusterConfig{}, nil, 10); err == nil {
+	if _, err := RunCluster(ClusterConfig{}, FromSlice(nil), 10); err == nil {
 		t.Error("empty cluster accepted")
 	}
 	bad := smallConfig()
 	bad.MaxDecodeBatch = 0
-	if _, err := RunCluster(clusterOf(bad), nil, 10); err == nil {
+	if _, err := RunCluster(clusterOf(bad), FromSlice(nil), 10); err == nil {
 		t.Error("invalid pool accepted")
 	}
 	big := smallConfig()
 	big.Model = model.Llama3_405B()
-	if _, err := RunCluster(clusterOf(big), nil, 10); err == nil {
+	if _, err := RunCluster(clusterOf(big), FromSlice(nil), 10); err == nil {
 		t.Error("oversized model accepted")
 	}
 }
@@ -339,11 +339,11 @@ func TestBlastRadiusScalesWithInstanceCount(t *testing.T) {
 		t.Skip("Llama3-8B no longer fits one Lite GPU")
 	}
 	reqs := codingTrace(t, 0.5, 5, 120)
-	mBig, err := Run(big, reqs, 240)
+	mBig, err := runOne(big, reqs, 240)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mLite, err := Run(lite, reqs, 240)
+	mLite, err := runOne(lite, reqs, 240)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,9 +396,14 @@ func TestMalformedRequestsReturnError(t *testing.T) {
 			var m Metrics
 			var err error
 			if tc.stream {
-				m, err = RunFrom(smallConfig(), &sliceSource{reqs: tc.reqs}, 100)
+				// A SliceSource built directly skips FromSlice's sort.
+				var cm ClusterMetrics
+				cm, err = RunCluster(clusterOf(smallConfig()), &SliceSource{reqs: tc.reqs}, 100)
+				if err == nil {
+					m = cm.Pools[0].Metrics
+				}
 			} else {
-				m, err = Run(smallConfig(), tc.reqs, 100)
+				m, err = runOne(smallConfig(), tc.reqs, 100)
 			}
 			if tc.wantErr == "" {
 				if err != nil {
@@ -437,7 +442,7 @@ func TestAssembleIsPureAndAllocationBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs.start(&sliceSource{reqs: codingTrace(t, 1.0, 7, horizon)})
+		cs.start(FromSlice(codingTrace(t, 1.0, 7, horizon)))
 		cs.eng.Run(cs.h)
 
 		samples := func() [][]float64 {

@@ -195,9 +195,10 @@ func (c *colocSched) dispatch(now float64) {
 
 // admit refills the engine's batch slots from the queue — the
 // continuous-batching move: every iteration boundary, capacity freed by
-// finished requests is handed to waiting ones. Prompts whose KV
-// footprint can never fit even alone are dropped here, mirroring the
-// static policy's oversized-prompt drop.
+// finished requests is handed to waiting ones. Prompts too large for
+// any prefill pass, or needing more KV blocks than the instance has,
+// can never be served and are dropped here, mirroring the static
+// policy's prefill-staging drops.
 //
 //litegpu:hotpath
 func (c *colocSched) admit(e *colocEngine, now float64) {
@@ -217,7 +218,7 @@ func (c *colocSched) admit(e *colocEngine, now float64) {
 				// plus generated tokens; time the pass at that length.
 				c.one[0].PromptTokens = a.promptLeft
 			}
-			if math.IsInf(c.prefillTime(c.one[:]), 1) {
+			if math.IsInf(c.prefillTime(c.one[:]), 1) || e.al != nil && kvNeverFits(e.al, c.one[0].PromptTokens) {
 				c.q.PopFront()
 				if c.pool.rec != nil {
 					c.pool.rec.Request(obs.Drop, now, int32(c.pool.idx), -1, int64(a.req.ID), float64(a.req.PromptTokens))

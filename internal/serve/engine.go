@@ -358,6 +358,17 @@ func (p *poolSim) kvAdmit(al *kv.Allocator, a *activeReq, now float64) bool {
 	return true
 }
 
+// kvNeverFits reports whether a context of tokens needs more blocks
+// than al has in total. KV admission is head-of-line, so such a request
+// would block every request queued behind it forever; the schedulers
+// drop it before it is prefilled instead.
+//
+//litegpu:hotpath
+func kvNeverFits(al *kv.Allocator, tokens int) bool {
+	bt := al.BlockTokens()
+	return (tokens+bt-1)/bt > al.Total()
+}
+
 // kvGrow extends a's sequence by one token, claiming a fresh block at
 // block boundaries. It reports whether the token fits.
 //
@@ -475,10 +486,9 @@ func (p *poolSim) emitToken(a *activeReq, now float64) bool {
 
 // RequestSource yields a request stream in nondecreasing arrival order,
 // one request at a time. trace.Stream implements it for synthetic
-// workloads generated on demand; materialized []trace.Request slices
-// are adapted internally. The simulator holds only the in-flight
-// working set, so a million-request horizon needs O(in-flight) memory,
-// not O(trace).
+// workloads generated on demand, and FromSlice adapts a materialized
+// trace. The simulator holds only the in-flight working set, so a
+// million-request horizon needs O(in-flight) memory, not O(trace).
 type RequestSource interface {
 	Next() (trace.Request, bool)
 }
@@ -486,17 +496,37 @@ type RequestSource interface {
 // ErrMalformedRequest is wrapped by the error a run returns when its
 // input holds a request the simulator cannot serve: a NaN or negative
 // arrival time, an arrival earlier than one already yielded (a
-// RequestSource out of order; materialized slices are sorted first), or
-// a negative prompt or output token count.
+// RequestSource out of order; FromSlice sorts its slice first), or a
+// negative prompt or output token count.
 var ErrMalformedRequest = errors.New("serve: malformed request")
 
-// sliceSource adapts a sorted materialized trace to RequestSource.
-type sliceSource struct {
+// SliceSource is a RequestSource over a materialized trace. Its length
+// is known up front, so a single-pool run sizes its latency sample
+// buffers once, and it can rewind, which is what lets the capacity
+// planner fork a run at its first failure (see snapshot.go).
+type SliceSource struct {
 	reqs []trace.Request
 	i    int
 }
 
-func (s *sliceSource) Next() (trace.Request, bool) {
+// FromSlice adapts a materialized trace in any order to a
+// RequestSource. An already sorted slice (the common case: generators
+// emit arrivals in time order) is shared, not copied; an unsorted one is
+// copied and sorted by arrival time.
+func FromSlice(reqs []trace.Request) *SliceSource {
+	for i := 1; i < len(reqs); i++ {
+		if reqs[i].Arrival < reqs[i-1].Arrival {
+			sorted := append([]trace.Request(nil), reqs...)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Arrival < sorted[j].Arrival })
+			reqs = sorted
+			break
+		}
+	}
+	return &SliceSource{reqs: reqs}
+}
+
+// Next yields the next request in arrival order.
+func (s *SliceSource) Next() (trace.Request, bool) {
 	if s.i >= len(s.reqs) {
 		return trace.Request{}, false
 	}
@@ -840,47 +870,18 @@ func (s *clusterSim) initFailure(st *instanceState, rate float64, globalIdx int)
 	st.rate = rate
 }
 
-// sortedByArrival reports whether the trace is already in nondecreasing
-// arrival order — true for every stream trace.Generate produces, which
-// lets run share the caller's slice instead of copying and re-sorting
-// it per simulation.
-func sortedByArrival(reqs []trace.Request) bool {
-	for i := 1; i < len(reqs); i++ {
-		if reqs[i].Arrival < reqs[i-1].Arrival {
-			return false
-		}
-	}
-	return true
-}
-
-// run executes the simulation over a materialized request stream and
-// assembles the metrics. The trace is shared, not copied: an already
-// sorted slice (the common case — generators emit arrivals in time
-// order) is used as-is across all pools and, in the planner, across
-// every candidate simulation.
-func (s *clusterSim) run(reqs []trace.Request) (ClusterMetrics, error) {
-	sorted := reqs
-	if !sortedByArrival(reqs) {
-		// Identical sort to the pre-sim loop (including tie order).
-		sorted = append([]trace.Request(nil), reqs...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Arrival < sorted[j].Arrival })
-	}
-	// The trace length is known up front: size each pool's latency
-	// sample buffers once so recording never reallocates mid-run.
-	if len(s.pools) == 1 {
-		p := s.pools[0]
-		n := len(sorted)
+// run executes the simulation pulling arrivals from src on demand and
+// assembles the metrics. Only the in-flight working set is held in
+// memory; a SliceSource's length is known up front, so a single pool's
+// latency sample buffers are sized once and recording never
+// reallocates mid-run.
+func (s *clusterSim) run(src RequestSource) (ClusterMetrics, error) {
+	if ss, ok := src.(*SliceSource); ok && len(s.pools) == 1 {
+		p, n := s.pools[0], len(ss.reqs)-ss.i
 		p.ttfts = make([]float64, 0, n)
 		p.tbts = make([]float64, 0, n)
 		p.e2es = make([]float64, 0, n)
 	}
-	return s.runFrom(&sliceSource{reqs: sorted})
-}
-
-// runFrom executes the simulation pulling arrivals from src on demand
-// and assembles the metrics. Only the in-flight working set is held in
-// memory.
-func (s *clusterSim) runFrom(src RequestSource) (ClusterMetrics, error) {
 	s.start(src)
 	s.eng.Run(s.h)
 	if s.badReq != nil {

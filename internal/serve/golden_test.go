@@ -404,7 +404,7 @@ func goldenReport(t *testing.T, scenarios []goldenScenario, view goldenView) str
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
-		cm, err := RunCluster(sc.cluster, reqs, sc.horizon)
+		cm, err := RunCluster(sc.cluster, FromSlice(reqs), sc.horizon)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}

@@ -183,6 +183,36 @@ func TestKVPeakRespectsBudget(t *testing.T) {
 	}
 }
 
+// TestKVNeverFitRequestIsDropped pins that a request whose prompt
+// needs more KV blocks than an instance holds in total is dropped
+// before prefill instead of blocking the head-of-line KV admission
+// forever: with a 300-block (4,800-token) budget, a 6,000-token prompt
+// at the head of the queue used to stall every request behind it for
+// the whole run. It must be the only drop, never stamp a first token,
+// and everything behind it must complete.
+func TestKVNeverFitRequestIsDropped(t *testing.T) {
+	reqs := []trace.Request{{ID: 0, PromptTokens: 6000, OutputTokens: 10}}
+	for i := 1; i <= 10; i++ {
+		reqs = append(reqs, trace.Request{ID: i, Arrival: units.Seconds(i) / 10, PromptTokens: 500, OutputTokens: 20})
+	}
+	for _, pol := range SchedulerPolicies() {
+		t.Run(pol.String(), func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Scheduler = pol
+			cfg.KV = kv.Config{Policy: kv.Recompute, Blocks: 300}
+			m := mustRun(t, cfg, reqs, 120)
+			if m.Dropped != 1 || m.Completed != len(reqs)-1 {
+				t.Fatalf("dropped %d, completed %d of %d; want the never-fit head dropped and the rest served",
+					m.Dropped, m.Completed, len(reqs))
+			}
+			if m.TTFT.N != m.Completed || m.TTFTAttainment > 1 {
+				t.Errorf("%d first tokens for %d completions (attainment %.4f): the drop came after prefill",
+					m.TTFT.N, m.Completed, m.TTFTAttainment)
+			}
+		})
+	}
+}
+
 // TestKVSwapPricedOnFabric pins the swap policy's network coupling: on
 // an in-loop fabric, every preemption round-trips the victim's blocks
 // through remote memory as real transfers, so a swapping run must
@@ -236,7 +266,7 @@ func TestKVSnapshotForkInvariance(t *testing.T) {
 	for spares := 0; spares <= 2; spares++ {
 		fs := f
 		fs.Spares = spares
-		want, err := RunWithFailures(cfg, fs, reqs, 300)
+		want, err := runOneFailures(cfg, fs, reqs, 300)
 		if err != nil {
 			t.Fatal(err)
 		}

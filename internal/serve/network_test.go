@@ -52,7 +52,7 @@ func cpoCircuit() NetworkConfig {
 // runPool runs cs over reqs and returns its first pool's metrics.
 func runPool(t *testing.T, cs *clusterSim, reqs []trace.Request) Metrics {
 	t.Helper()
-	cm, err := cs.run(reqs)
+	cm, err := cs.run(FromSlice(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func runPool(t *testing.T, cs *clusterSim, reqs []trace.Request) Metrics {
 
 func mustRun(t *testing.T, cfg Config, reqs []trace.Request, horizon units.Seconds) Metrics {
 	t.Helper()
-	m, err := Run(cfg, reqs, horizon)
+	m, err := runOne(cfg, reqs, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestIngressCharged(t *testing.T) {
 	}
 	cc := clusterOf(smallConfig(), smallConfig())
 	cc.Network = pluggablePacket()
-	cm, err := RunCluster(cc, reqs, 200)
+	cm, err := RunCluster(cc, FromSlice(reqs), 200)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func runObserved(t *testing.T, cc ClusterConfig, reqs []trace.Request, horizon u
 	t.Helper()
 	rec := obs.New(obs.Options{Seed: 42, SampleTargets: 256, ProbeInterval: 5})
 	cc.Observer = rec
-	cm, err := RunCluster(cc, reqs, horizon)
+	cm, err := RunCluster(cc, FromSlice(reqs), horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestObserverDoesNotPerturbSimulation(t *testing.T) {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			cc, reqs, horizon := observedChaosCluster(t, pol)
-			bare, err := RunCluster(cc, reqs, horizon)
+			bare, err := RunCluster(cc, FromSlice(reqs), horizon)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestObserverHeartbeatCountsEveryCompletion(t *testing.T) {
 		},
 	})
 	cc.Observer = rec
-	cm, err := RunCluster(cc, reqs, horizon)
+	cm, err := RunCluster(cc, FromSlice(reqs), horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestObserverDisabledAllocationFree(t *testing.T) {
 			}
 			allocs := func(reqs []trace.Request, horizon units.Seconds) float64 {
 				return testing.AllocsPerRun(3, func() {
-					if _, err := RunCluster(clusterOf(cfg), reqs, horizon); err != nil {
+					if _, err := RunCluster(clusterOf(cfg), FromSlice(reqs), horizon); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -231,7 +231,7 @@ func TestObserverAllocationsBoundedBySamples(t *testing.T) {
 							rec = obs.New(obs.Options{Seed: 42, ProbeInterval: 5})
 							cc.Observer = rec
 						}
-						if _, err := RunCluster(cc, reqs, horizon+120); err != nil {
+						if _, err := RunCluster(cc, FromSlice(reqs), horizon+120); err != nil {
 							t.Fatal(err)
 						}
 						if rec == nil {

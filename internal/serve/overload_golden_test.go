@@ -143,7 +143,7 @@ func overloadScenarios(t *testing.T) []overloadScenario {
 func TestOverloadGoldens(t *testing.T) {
 	var b strings.Builder
 	for _, sc := range overloadScenarios(t) {
-		cm, err := RunCluster(sc.cluster, sc.reqs, sc.horizon)
+		cm, err := RunCluster(sc.cluster, FromSlice(sc.reqs), sc.horizon)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}

@@ -52,7 +52,7 @@ func TestOverloadZeroValueEquivalence(t *testing.T) {
 		if pol == ChunkedPrefill {
 			base.PrefillChunk = 256
 		}
-		want, err := Run(base, reqs, 200)
+		want, err := runOne(base, reqs, 200)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestOverloadZeroValueEquivalence(t *testing.T) {
 		for name, mut := range variants {
 			cfg := base
 			mut(&cfg)
-			got, err := Run(cfg, reqs, 200)
+			got, err := runOne(cfg, reqs, 200)
 			if err != nil {
 				t.Fatalf("%v/%s: %v", pol, name, err)
 			}
@@ -118,7 +118,7 @@ func TestClosedLoopLeaksNothing(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			m, err := s.run(reqs)
+			m, err := s.run(FromSlice(reqs))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -193,21 +193,21 @@ func TestGracefulDegradationUnderFlashCrowd(t *testing.T) {
 			openCfg := base
 			openCfg.Client = clients
 			openCfg.Client.ObserveOnly = true
-			open, err := Run(openCfg, reqs, 300)
+			open, err := runOne(openCfg, reqs, 300)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			closedCfg := base
 			closedCfg.Client = clients
-			closed, err := Run(closedCfg, reqs, 300)
+			closed, err := runOne(closedCfg, reqs, 300)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			shedCfg := closedCfg
 			shedCfg.Admission = AdmissionConfig{Policy: AdmitAdaptive, QueueLimit: 48, Levels: 4}
-			shed, err := Run(shedCfg, reqs, 300)
+			shed, err := runOne(shedCfg, reqs, 300)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,7 +331,7 @@ func TestOverloadSnapshotForkInvariance(t *testing.T) {
 	for spares := 0; spares <= 2; spares++ {
 		fs := f
 		fs.Spares = spares
-		want, err := RunWithFailures(cfg, fs, reqs, 200)
+		want, err := runOneFailures(cfg, fs, reqs, 200)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,43 +75,33 @@ type PlanRequest struct {
 	// Drain extends the simulation past the arrival horizon (default 120).
 	Drain units.Seconds
 
-	// Scheduler is the serving discipline to size (default
-	// StaticDisaggregated). Schedulers, when non-empty, overrides it
-	// with a set of candidate policies: each is sized independently and
-	// the cheapest feasible plan (by $/Mtoken) wins — so the planner
-	// answers not just "how many instances" but "which scheduler".
-	Scheduler  SchedulerPolicy
+	// The four candidate axes follow. An empty axis is the single zero
+	// value; every (scheduler, fabric, kv, admission) combination, in
+	// that nesting order, is sized independently and the cheapest
+	// feasible plan per Mtoken wins, first-listed on ties.
+
+	// Schedulers are the serving disciplines to size (empty:
+	// StaticDisaggregated), so the planner answers not just "how many
+	// instances" but "which scheduler".
 	Schedulers []SchedulerPolicy
 
 	// PrefillChunk is the ChunkedPrefill chunk size in prompt tokens
 	// (default 512); ignored by the other policies.
 	PrefillChunk int
 
-	// Network selects the fabric the sizing simulations run on AND the
-	// fabric the plan is priced over. The zero value keeps the
-	// historical behavior: an infinite in-loop fabric, priced as a
-	// folded Clos over co-packaged optics and packet switches (the
-	// default that used to be hard-coded here regardless of deployment
-	// size). Fabrics, when non-empty, overrides it with a set of
-	// candidate designs: the fabric joins scheduler and spares as a
-	// search axis — every (scheduler, fabric) pair is sized
-	// independently with that fabric in the event loop, priced through
-	// the tco/network cost models at the resulting deployment scale,
-	// checked for physical feasibility (cable reach at that scale),
-	// and the cheapest feasible plan per Mtoken wins. See
+	// Fabrics are the candidate networks: each is the fabric the sizing
+	// simulations run on AND the fabric the plan is priced over, through
+	// the tco/network cost models at the resulting deployment scale and
+	// checked for physical feasibility (cable reach at that scale). The
+	// zero config is an infinite in-loop fabric, priced as a folded Clos
+	// over co-packaged optics and packet switches. See
 	// DefaultFabricCandidates for a sensible axis.
-	Network NetworkConfig
 	Fabrics []NetworkConfig
 
-	// KV selects the KV-cache memory model the sizing simulations run
-	// under. The zero value keeps the historical behavior: decode
-	// memory is infinite and admission never blocks on cache blocks.
-	// KVPolicies, when non-empty, overrides it with a set of candidate
-	// memory configs: the KV policy joins scheduler and fabric as a
-	// search axis — every (scheduler, fabric, kv) triple is sized
-	// independently and the cheapest feasible plan per Mtoken wins. See
+	// KVPolicies are the candidate KV-cache memory models the sizing
+	// simulations run under. The zero config is infinite decode memory:
+	// admission never blocks on cache blocks. See
 	// kv.DefaultPolicyCandidates for a sensible axis.
-	KV         kv.Config
 	KVPolicies []kv.Config
 
 	// Client attaches closed-loop client behavior (deadlines, retries
@@ -122,13 +112,8 @@ type PlanRequest struct {
 	// floor faster than an open-loop run would show.
 	Client ClientConfig
 
-	// Admission selects the overload gate the sizing simulations run
-	// behind (zero = admit everything, the historical behavior).
-	// Admissions, when non-empty, overrides it with a set of candidate
-	// gates: admission joins scheduler, fabric, and kv as a search axis
-	// — every (scheduler, fabric, kv, admission) tuple is sized
-	// independently and the cheapest feasible plan per Mtoken wins.
-	Admission  AdmissionConfig
+	// Admissions are the candidate overload gates the sizing
+	// simulations run behind (the zero config admits everything).
 	Admissions []AdmissionConfig
 
 	// Autoscale attaches the elastic control loop to every sizing
@@ -288,60 +273,31 @@ func PlanCapacity(req PlanRequest, slo SLO) (Plan, error) {
 	}
 	simHorizon := req.Horizon + req.Drain
 
-	// Candidates are (scheduler, fabric) pairs, sized concurrently over
-	// the shared worker pool; an infeasible candidate is a per-candidate
-	// outcome, not a search failure, so errors ride inside the result
-	// instead of cancelling siblings. Selection stays sequential in
-	// enumeration order (policies outer, fabrics inner) — the cheapest
-	// feasible plan per Mtoken wins, first-listed on ties — so the
-	// answer is byte-identical at any worker count.
-	policies := req.Schedulers
-	if len(policies) == 0 {
-		policies = []SchedulerPolicy{req.Scheduler}
-	}
-	fabrics := req.Fabrics
-	if len(fabrics) == 0 {
-		fabrics = []NetworkConfig{req.Network}
-	}
-	kvcs := req.KVPolicies
-	if len(kvcs) == 0 {
-		kvcs = []kv.Config{req.KV}
-	}
-	adms := req.Admissions
-	if len(adms) == 0 {
-		adms = []AdmissionConfig{req.Admission}
-	}
-	type candidate struct {
-		pol SchedulerPolicy
-		nc  NetworkConfig
-		kvc kv.Config
-		adm AdmissionConfig
-	}
-	var cands []candidate
-	for _, pol := range policies {
-		for _, nc := range fabrics {
-			for _, kvc := range kvcs {
-				for _, adm := range adms {
-					cands = append(cands, candidate{pol: pol, nc: nc, kvc: kvc, adm: adm})
-				}
-			}
-		}
-	}
+	// Candidates are the (scheduler, fabric, kv, admission) grid, sized
+	// concurrently over the shared worker pool; an infeasible candidate
+	// is a per-candidate outcome, not a search failure, so errors ride
+	// inside the result instead of cancelling siblings. Selection stays
+	// sequential in grid order — the cheapest feasible plan per Mtoken
+	// wins, first-listed on ties — so the answer is byte-identical at
+	// any worker count.
+	policies, fabrics := sweep.Values(req.Schedulers), sweep.Values(req.Fabrics)
+	kvcs, adms := sweep.Values(req.KVPolicies), sweep.Values(req.Admissions)
+	grid := sweep.Grid(len(policies), len(fabrics), len(kvcs), len(adms))
 	if req.Trace != nil {
 		// Pre-size the trace so each candidate's sizing goroutine owns
 		// its slot — concurrent planPolicy calls never share a record.
-		req.Trace.Candidates = make([]obs.PlanCandidate, len(cands))
-		for i, c := range cands {
+		req.Trace.Candidates = make([]obs.PlanCandidate, len(grid))
+		for i, at := range grid {
 			tc := &req.Trace.Candidates[i]
-			tc.Scheduler = c.pol.String()
-			if c.nc.Enabled() {
-				tc.Fabric = c.nc.String()
+			tc.Scheduler = policies[at[0]].String()
+			if nc := fabrics[at[1]]; nc.Enabled() {
+				tc.Fabric = nc.String()
 			}
-			if c.kvc.Enabled() {
-				tc.KV = c.kvc.String()
+			if kvc := kvcs[at[2]]; kvc.Enabled() {
+				tc.KV = kvc.String()
 			}
-			if c.adm.Policy != AdmitAll {
-				tc.Admission = fmt.Sprintf("%s(limit=%d)", c.adm.Policy, c.adm.QueueLimit)
+			if adm := adms[at[3]]; adm.Policy != AdmitAll {
+				tc.Admission = fmt.Sprintf("%s(limit=%d)", adm.Policy, adm.QueueLimit)
 			}
 		}
 	}
@@ -349,19 +305,20 @@ func PlanCapacity(req PlanRequest, slo SLO) (Plan, error) {
 	// concurrency stays ~Workers: candWorkers candidates in flight,
 	// each probing waveWorkers ladder points per doubling round.
 	workers := planWorkers(req)
-	candWorkers := min(workers, len(cands))
+	candWorkers := min(workers, len(grid))
 	waveWorkers := max(1, workers/candWorkers)
 	type polOutcome struct {
 		plan Plan
 		err  error
 	}
-	outcomes, err := sweep.RunN(context.Background(), candWorkers, cands,
-		func(_ context.Context, i int, c candidate) (polOutcome, error) {
+	outcomes, err := sweep.RunN(context.Background(), candWorkers, grid,
+		func(_ context.Context, i int, at []int) (polOutcome, error) {
 			var tc *obs.PlanCandidate
 			if req.Trace != nil {
 				tc = &req.Trace.Candidates[i]
 			}
-			plan, perr := planPolicy(req, slo, c.pol, c.nc, c.kvc, c.adm, reqs, simHorizon, waveWorkers, tc)
+			plan, perr := planPolicy(req, slo, policies[at[0]], fabrics[at[1]], kvcs[at[2]], adms[at[3]],
+				reqs, simHorizon, waveWorkers, tc)
 			return polOutcome{plan: plan, err: perr}, nil
 		})
 	if err != nil {
@@ -732,7 +689,17 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 func planSim(cfg Config, req PlanRequest, spares int, reqs []trace.Request, horizon units.Seconds) (Metrics, error) {
 	f := req.Failures
 	f.Spares = spares
-	return RunWithFailures(cfg, f, reqs, horizon)
+	cm, err := RunCluster(poolCluster(cfg, f), FromSlice(reqs), horizon)
+	if err != nil {
+		return Metrics{}, err
+	}
+	return cm.Pools[0].Metrics, nil
+}
+
+// poolCluster is the one-pool cluster, named after its GPU, that every
+// sizing simulation runs.
+func poolCluster(cfg Config, f FailureConfig) ClusterConfig {
+	return ClusterConfig{Pools: []Pool{{Name: cfg.GPU.Name, Config: cfg}}, Failures: f}
 }
 
 // scaledParams applies the failure config's TimeScale to the analytic

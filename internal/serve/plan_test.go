@@ -71,7 +71,7 @@ func TestPlanCapacityIsMinimal(t *testing.T) {
 	feasible := func(p, d int) bool {
 		cfg := plan.Config
 		cfg.PrefillInstances, cfg.DecodeInstances = p, d
-		m, err := Run(cfg, reqs, req.Horizon+req.Drain)
+		m, err := runOne(cfg, reqs, req.Horizon+req.Drain)
 		if err != nil {
 			return false
 		}

@@ -85,7 +85,7 @@ func TestColocatedValidation(t *testing.T) {
 func TestSingleRequestTraceAllPolicies(t *testing.T) {
 	for _, pol := range SchedulerPolicies() {
 		cfg := withScheduler(pol)
-		m, err := Run(cfg, oneRequest(1500, 10), 600)
+		m, err := runOne(cfg, oneRequest(1500, 10), 600)
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
@@ -114,11 +114,11 @@ func TestPromptLongerThanChunkSize(t *testing.T) {
 	chk := withScheduler(ChunkedPrefill)
 	chk.PrefillChunk = chunk
 
-	mCont, err := Run(cont, oneRequest(prompt, 5), 600)
+	mCont, err := runOne(cont, oneRequest(prompt, 5), 600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mChk, err := Run(chk, oneRequest(prompt, 5), 600)
+	mChk, err := runOne(chk, oneRequest(prompt, 5), 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPromptShorterThanChunkSize(t *testing.T) {
 	chk := withScheduler(ChunkedPrefill)
 	chk.PrefillChunk = 2048
 	prompt := 640
-	m, err := Run(chk, oneRequest(prompt, 5), 600)
+	m, err := runOne(chk, oneRequest(prompt, 5), 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestPromptShorterThanChunkSize(t *testing.T) {
 func TestBatchOfOneDecodeColocated(t *testing.T) {
 	for _, pol := range []SchedulerPolicy{ContinuousBatching, ChunkedPrefill} {
 		cfg := withScheduler(pol)
-		m, err := Run(cfg, oneRequest(1500, 50), 600)
+		m, err := runOne(cfg, oneRequest(1500, 50), 600)
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
@@ -195,7 +195,7 @@ func TestOversizedPromptDroppedAllPolicies(t *testing.T) {
 		{ID: 1, Arrival: 0.5, PromptTokens: 800, OutputTokens: 5},
 	}
 	for _, pol := range SchedulerPolicies() {
-		m, err := Run(withScheduler(pol), reqs, 600)
+		m, err := runOne(withScheduler(pol), reqs, 600)
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
@@ -238,11 +238,11 @@ func TestContinuousBeatsStaticOnBurstyDecodeHeavyTrace(t *testing.T) {
 	static.MaxDecodeBatch = 8
 	cont := withScheduler(ContinuousBatching)
 	cont.MaxDecodeBatch = 8
-	mStatic, err := Run(static, reqs, 300)
+	mStatic, err := runOne(static, reqs, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mCont, err := Run(cont, reqs, 300)
+	mCont, err := runOne(cont, reqs, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,13 +280,13 @@ func longPromptTrace(t *testing.T, rate float64, seed uint64, horizon units.Seco
 // stalls last a whole multi-thousand-token prefill pass).
 func TestChunkedLowersTailTBTOnLongPromptTrace(t *testing.T) {
 	reqs := longPromptTrace(t, 1.5, 7, 300)
-	mCont, err := Run(withScheduler(ContinuousBatching), reqs, 400)
+	mCont, err := runOne(withScheduler(ContinuousBatching), reqs, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	chk := withScheduler(ChunkedPrefill)
 	chk.PrefillChunk = 512
-	mChk, err := Run(chk, reqs, 400)
+	mChk, err := runOne(chk, reqs, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,14 +306,14 @@ func TestFailureMachineryAcrossPolicies(t *testing.T) {
 	reqs := failureTrace(t)
 	for _, pol := range SchedulerPolicies() {
 		cfg := withScheduler(pol)
-		clean, err := Run(cfg, reqs, 300)
+		clean, err := runOne(cfg, reqs, 300)
 		if err != nil {
 			t.Fatalf("%v clean: %v", pol, err)
 		}
 
 		cc := clusterOf(cfg)
 		cc.Failures = acceleratedFailures(0)
-		faulty, err := RunCluster(cc, reqs, 300)
+		faulty, err := RunCluster(cc, FromSlice(reqs), 300)
 		if err != nil {
 			t.Fatalf("%v faulty: %v", pol, err)
 		}
@@ -337,7 +337,7 @@ func TestFailureMachineryAcrossPolicies(t *testing.T) {
 		ccDrop := clusterOf(cfg)
 		ccDrop.Failures = acceleratedFailures(0)
 		ccDrop.Failures.Policy = DropOnFailure
-		dropped, err := RunCluster(ccDrop, reqs, 300)
+		dropped, err := RunCluster(ccDrop, FromSlice(reqs), 300)
 		if err != nil {
 			t.Fatalf("%v drop: %v", pol, err)
 		}
@@ -350,7 +350,7 @@ func TestFailureMachineryAcrossPolicies(t *testing.T) {
 
 		ccSpares := clusterOf(cfg)
 		ccSpares.Failures = acceleratedFailures(2)
-		spared, err := RunCluster(ccSpares, reqs, 300)
+		spared, err := RunCluster(ccSpares, FromSlice(reqs), 300)
 		if err != nil {
 			t.Fatalf("%v spares: %v", pol, err)
 		}
@@ -465,11 +465,11 @@ func TestPoliciesDeterministic(t *testing.T) {
 	for _, pol := range SchedulerPolicies() {
 		cc := clusterOf(withScheduler(pol))
 		cc.Failures = acceleratedFailures(1)
-		a, err := RunCluster(cc, reqs, 300)
+		a, err := RunCluster(cc, FromSlice(reqs), 300)
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
-		b, err := RunCluster(cc, reqs, 300)
+		b, err := RunCluster(cc, FromSlice(reqs), 300)
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
@@ -490,7 +490,7 @@ func TestPlanCapacityPicksCheapestScheduler(t *testing.T) {
 	}
 	for _, pol := range SchedulerPolicies() {
 		r := planRequest(20)
-		r.Scheduler = pol
+		r.Schedulers = []SchedulerPolicy{pol}
 		plan, err := PlanCapacity(r, SLO{})
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
@@ -509,7 +509,7 @@ func TestPlanCapacityPicksCheapestScheduler(t *testing.T) {
 // mirroring TestPlanCapacityIsMinimal for the static policy.
 func TestPlanCapacityColocatedIsMinimal(t *testing.T) {
 	req := planRequest(250)
-	req.Scheduler = ContinuousBatching
+	req.Schedulers = []SchedulerPolicy{ContinuousBatching}
 	slo := SLO{TTFTAttainment: 0.99, TBTAttainment: 0.99, MinCompletion: 0.95}
 	plan, err := PlanCapacity(req, slo)
 	if err != nil {
@@ -525,7 +525,7 @@ func TestPlanCapacityColocatedIsMinimal(t *testing.T) {
 	}
 	cfg := plan.Config
 	cfg.Instances = n - 1
-	m, err := Run(cfg, reqs, req.Horizon+req.Drain)
+	m, err := runOne(cfg, reqs, req.Horizon+req.Drain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -375,50 +375,6 @@ type Metrics struct {
 	Classes []ClassMetrics
 }
 
-// Run simulates serving the request stream until the horizon, with no
-// failure injection. Requests still in flight at the horizon are not
-// counted as completed. It is the single-pool special case of
-// RunCluster; with the default StaticDisaggregated scheduler it
-// reproduces the pre-scheduler-interface event loop byte-for-byte.
-func Run(cfg Config, reqs []trace.Request, horizon units.Seconds) (Metrics, error) {
-	return RunWithFailures(cfg, FailureConfig{}, reqs, horizon)
-}
-
-// RunWithFailures simulates a single pool under the given failure
-// config (the zero value disables injection, making it Run). The
-// planner and the facade studies share it so single-pool semantics live
-// in one place.
-func RunWithFailures(cfg Config, f FailureConfig, reqs []trace.Request, horizon units.Seconds) (Metrics, error) {
-	cm, err := RunCluster(ClusterConfig{
-		Pools:    []Pool{{Name: cfg.GPU.Name, Config: cfg}},
-		Failures: f,
-	}, reqs, horizon)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return cm.Pools[0].Metrics, nil
-}
-
-// RunFrom is Run over a lazy request source (see RunClusterFrom):
-// arrivals stream in on demand and only the in-flight working set is
-// held, making horizon×rate products with millions of requests
-// practical in constant memory.
-func RunFrom(cfg Config, src RequestSource, horizon units.Seconds) (Metrics, error) {
-	return RunWithFailuresFrom(cfg, FailureConfig{}, src, horizon)
-}
-
-// RunWithFailuresFrom is RunWithFailures over a lazy request source.
-func RunWithFailuresFrom(cfg Config, f FailureConfig, src RequestSource, horizon units.Seconds) (Metrics, error) {
-	cm, err := RunClusterFrom(ClusterConfig{
-		Pools:    []Pool{{Name: cfg.GPU.Name, Config: cfg}},
-		Failures: f,
-	}, src, horizon)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return cm.Pools[0].Metrics, nil
-}
-
 func pickSLO(v units.Seconds, def units.Seconds) units.Seconds {
 	if v > 0 {
 		return v

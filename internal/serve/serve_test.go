@@ -28,6 +28,24 @@ func smallConfig() Config {
 	}
 }
 
+// runOne simulates a single pool, named after its GPU, over a
+// materialized trace with no failure injection.
+func runOne(cfg Config, reqs []trace.Request, horizon units.Seconds) (Metrics, error) {
+	return runOneFailures(cfg, FailureConfig{}, reqs, horizon)
+}
+
+// runOneFailures is runOne under the given failure config.
+func runOneFailures(cfg Config, f FailureConfig, reqs []trace.Request, horizon units.Seconds) (Metrics, error) {
+	cm, err := RunCluster(ClusterConfig{
+		Pools:    []Pool{{Name: cfg.GPU.Name, Config: cfg}},
+		Failures: f,
+	}, FromSlice(reqs), horizon)
+	if err != nil {
+		return Metrics{}, err
+	}
+	return cm.Pools[0].Metrics, nil
+}
+
 func oneRequest(prompt, output int) []trace.Request {
 	return []trace.Request{{ID: 0, Arrival: 0, PromptTokens: prompt, OutputTokens: output}}
 }
@@ -59,7 +77,7 @@ func TestValidate(t *testing.T) {
 func TestRunRejectsOversizedModel(t *testing.T) {
 	c := smallConfig()
 	c.Model = model.Llama3_405B() // cannot fit 1×H100
-	if _, err := Run(c, oneRequest(100, 10), 10); err == nil {
+	if _, err := runOne(c, oneRequest(100, 10), 10); err == nil {
 		t.Error("oversized model accepted")
 	}
 }
@@ -69,7 +87,7 @@ func TestSingleRequestTTFTMatchesAnalyticalModel(t *testing.T) {
 	// analytical prefill latency at that prompt length (bucketed to 64).
 	cfg := smallConfig()
 	prompt := 1536 // exact multiple of the 64-token bucket
-	mets, err := Run(cfg, oneRequest(prompt, 5), 600)
+	mets, err := runOne(cfg, oneRequest(prompt, 5), 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +107,7 @@ func TestSingleRequestTTFTMatchesAnalyticalModel(t *testing.T) {
 
 func TestSingleRequestTBTMatchesAnalyticalModel(t *testing.T) {
 	cfg := smallConfig()
-	mets, err := Run(cfg, oneRequest(1500, 50), 600)
+	mets, err := runOne(cfg, oneRequest(1500, 50), 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +127,7 @@ func TestSingleTokenOutputTBTGuard(t *testing.T) {
 	// One output token has zero inter-token intervals; the TBT sample
 	// must fall back to the lone step duration, not divide by zero.
 	cfg := smallConfig()
-	mets, err := Run(cfg, oneRequest(1500, 1), 600)
+	mets, err := runOne(cfg, oneRequest(1500, 1), 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +155,7 @@ func TestOversizedPromptIsDroppedNotStarved(t *testing.T) {
 		{ID: 0, Arrival: 0, PromptTokens: 5_000_000, OutputTokens: 5},
 		{ID: 1, Arrival: 0.5, PromptTokens: 800, OutputTokens: 5},
 	}
-	mets, err := Run(cfg, reqs, 600)
+	mets, err := runOne(cfg, reqs, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +178,7 @@ func TestThroughputUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mets, err := Run(cfg, reqs, 600)
+	mets, err := runOne(cfg, reqs, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +203,7 @@ func TestUtilizationBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mets, err := Run(cfg, reqs, 240)
+	mets, err := runOne(cfg, reqs, 240)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +229,11 @@ func TestOverloadDegradesTTFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mLow, err := Run(cfg, low, 400)
+	mLow, err := runOne(cfg, low, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mHigh, err := Run(cfg, high, 400)
+	mHigh, err := runOne(cfg, high, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +253,11 @@ func TestMoreDecodeInstancesHelpTBTQueueing(t *testing.T) {
 	one.MaxDecodeBatch = 8 // force queueing pressure
 	two := one
 	two.DecodeInstances = 3
-	mOne, err := Run(one, reqs, 400)
+	mOne, err := runOne(one, reqs, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mTwo, err := Run(two, reqs, 400)
+	mTwo, err := runOne(two, reqs, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +281,11 @@ func TestLitePoolMatchesH100Pool(t *testing.T) {
 	l.GPU = hw.Lite()
 	l.PrefillGPUs = 4
 	l.DecodeGPUs = 4
-	mh, err := Run(h, reqs, 400)
+	mh, err := runOne(h, reqs, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ml, err := Run(l, reqs, 400)
+	ml, err := runOne(l, reqs, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +299,7 @@ func TestLitePoolMatchesH100Pool(t *testing.T) {
 }
 
 func TestNoRequests(t *testing.T) {
-	mets, err := Run(smallConfig(), nil, 60)
+	mets, err := runOne(smallConfig(), nil, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +316,7 @@ func TestHorizonBeforeFirstArrival(t *testing.T) {
 		{ID: 0, Arrival: 100, PromptTokens: 500, OutputTokens: 5},
 		{ID: 1, Arrival: 200, PromptTokens: 500, OutputTokens: 5},
 	}
-	mets, err := Run(smallConfig(), reqs, 50)
+	mets, err := runOne(smallConfig(), reqs, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,11 +356,11 @@ func TestDecodeCapClampedByKVCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mAbsurd, err := Run(base, reqs, 240)
+	mAbsurd, err := runOne(base, reqs, 240)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mClamped, err := Run(clamped, reqs, 240)
+	mClamped, err := runOne(clamped, reqs, 240)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +377,7 @@ func TestHorizonCutsOffLateArrivals(t *testing.T) {
 		{ID: 0, Arrival: 1, PromptTokens: 100, OutputTokens: 5},
 		{ID: 1, Arrival: units.Seconds(1e6), PromptTokens: 100, OutputTokens: 5},
 	}
-	mets, err := Run(smallConfig(), reqs, 60)
+	mets, err := runOne(smallConfig(), reqs, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -324,9 +324,9 @@ type clusterSnap struct {
 // takeSnapshot captures the simulation into s.snap. It runs at the top
 // of failInstance, before any spare-shelf state is consulted.
 func (s *clusterSim) takeSnapshot(p *poolSim, id int, now float64) {
-	ss, ok := s.src.(*sliceSource)
+	ss, ok := s.src.(*SliceSource)
 	if !ok {
-		panic("serve: snapshot armed on a non-materialized request source; forkable runs drive run(), not runFrom()")
+		panic("serve: snapshot armed on a non-rewindable request source; forkable runs read a SliceSource")
 	}
 	sn := &clusterSnap{
 		eng:             s.eng.Snapshot(),
@@ -404,7 +404,7 @@ func (s *clusterSim) restoreSnapshot() {
 	s.rrNext = sn.rrNext
 	s.dispatchPending = sn.dispatchPending
 	s.nextReq = sn.nextReq
-	s.src.(*sliceSource).i = sn.srcIdx
+	s.src.(*SliceSource).i = sn.srcIdx
 	for i, pl := range s.pools {
 		ps := &sn.pools[i]
 		pl.dispatchDirty = sn.dispatchDirty[i]
@@ -475,14 +475,11 @@ type failureFork struct {
 	m   Metrics
 }
 
-// runForkable is RunWithFailures with the fork hook armed: it returns
-// the zero-spare run's metrics plus a fork that can replay the run's
+// runForkable is planSim with the fork hook armed: it returns the
+// zero-spare run's metrics plus a fork that can replay the run's
 // post-first-failure suffix at any spare count.
 func runForkable(cfg Config, f FailureConfig, reqs []trace.Request, horizon units.Seconds) (Metrics, *failureFork, error) {
-	cc := ClusterConfig{
-		Pools:    []Pool{{Name: cfg.GPU.Name, Config: cfg}},
-		Failures: f,
-	}
+	cc := poolCluster(cfg, f)
 	if err := cc.Validate(); err != nil {
 		return Metrics{}, nil, err
 	}
@@ -491,7 +488,7 @@ func runForkable(cfg Config, f FailureConfig, reqs []trace.Request, horizon unit
 		return Metrics{}, nil, err
 	}
 	s.snapOnFail = true
-	cm, err := s.run(reqs)
+	cm, err := s.run(FromSlice(reqs))
 	if err != nil {
 		return Metrics{}, nil, err
 	}

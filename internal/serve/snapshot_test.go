@@ -24,7 +24,7 @@ func TestSnapshotForkMatchesFullRun(t *testing.T) {
 	for spares := 0; spares <= 3; spares++ {
 		fs := f
 		fs.Spares = spares
-		want, err := RunWithFailures(cfg, fs, reqs, 400)
+		want, err := runOneFailures(cfg, fs, reqs, 400)
 		if err != nil {
 			t.Fatal(err)
 		}

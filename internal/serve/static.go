@@ -265,8 +265,19 @@ func (sc *staticSched) dispatchPrefill(now float64) {
 			// validated to fit the model at the nominal prompt length,
 			// but an individual oversized prompt can still exceed
 			// capacity alone (n reaches 0): drop it rather than let it
-			// starve at the head of the queue forever.
+			// starve at the head of the queue forever. A prompt whose KV
+			// needs more blocks than a decode instance has in total is
+			// cut off the same way: decode admission is head-of-line, so
+			// once prefilled it would block the decode queue forever.
 			e.batch = sc.prefillQ.CopyPrefix(e.batch[:0], n)
+			if al := sc.decodes[0].al; al != nil {
+				for k, r := range e.batch {
+					if kvNeverFits(al, r.PromptTokens) {
+						n = k
+						break
+					}
+				}
+			}
 			dt := math.Inf(1)
 			for ; n >= 1; n-- {
 				if dt = sc.prefillTime(e.batch[:n]); !math.IsInf(dt, 1) {
@@ -466,7 +477,8 @@ func (sc *staticSched) startDecodeStep(j int, now float64) {
 	// Admit from the queue up to capacity, then step if non-empty. With
 	// paged KV the head of the queue must also fit in free blocks;
 	// admission is head-of-line (no skipping), so a blocked head waits
-	// for completions or preemptions to free memory. A draining instance
+	// for completions or preemptions to free memory. A prompt too large
+	// for an empty allocator never gets here: prefill staging drops it. A draining instance
 	// admits nothing — it finishes its in-flight work and parks.
 	for !e.draining && len(e.active) < sc.decodeCap && sc.decodeQ.Len() > 0 {
 		a := sc.decodeQ.At(0)

@@ -5,7 +5,8 @@
 // point's index (via mathx.DeriveSeed), never from which worker ran it.
 //
 // It is the concurrency substrate under the Figure 3 studies, the
-// serving-study grid, litegpu.Sweep, and the capacity planner.
+// serving-study grid, litegpu.Sweep, and the capacity planner, and Grid
+// is the one enumerator of their design-space cross products.
 package sweep
 
 import (
@@ -13,12 +14,6 @@ import (
 	"runtime"
 	"sync"
 )
-
-// Run evaluates fn over every point using a worker pool sized by
-// GOMAXPROCS. See RunN.
-func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context, idx int, p P) (R, error)) ([]R, error) {
-	return RunN(ctx, 0, points, fn)
-}
 
 // RunN evaluates fn(ctx, i, points[i]) for every point over a pool of
 // `workers` goroutines (workers <= 0 means GOMAXPROCS) and returns the
@@ -108,4 +103,38 @@ func RunN[P, R any](ctx context.Context, workers int, points []P, fn func(ctx co
 		return nil, context.Cause(ctx)
 	}
 	return results, nil
+}
+
+// Grid enumerates the cross product of axes with the given lengths in
+// mixed-radix order, the last axis varying fastest: point i holds the
+// per-axis coordinates of flat index i, exactly the order of nested
+// loops over the axes from first (outermost) to last. A zero-length
+// axis makes the grid empty. Derive anything stochastic from the flat
+// index or from coordinates, never from which worker ran a point.
+func Grid(lens ...int) [][]int {
+	n := 1
+	for _, l := range lens {
+		n *= l
+	}
+	k := len(lens)
+	flat := make([]int, n*k)
+	points := make([][]int, n)
+	for i := range points {
+		c := flat[i*k : (i+1)*k : (i+1)*k]
+		for a, rem := k-1, i; a >= 0; a-- {
+			c[a] = rem % lens[a]
+			rem /= lens[a]
+		}
+		points[i] = c
+	}
+	return points
+}
+
+// Values returns an axis's settings, or the single zero setting when
+// none are listed: an axis left empty is one point at its zero value.
+func Values[T any](vals []T) []T {
+	if len(vals) == 0 {
+		return make([]T, 1)
+	}
+	return vals
 }

@@ -14,7 +14,7 @@ func TestRunOrdersResults(t *testing.T) {
 	for i := range points {
 		points[i] = i
 	}
-	got, err := Run(context.Background(), points, func(_ context.Context, idx int, p int) (int, error) {
+	got, err := RunN(context.Background(), 0, points, func(_ context.Context, idx int, p int) (int, error) {
 		return p * p, nil
 	})
 	if err != nil {
@@ -125,11 +125,50 @@ func TestRunParentCancellation(t *testing.T) {
 func TestRunPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, []int{1, 2, 3}, func(_ context.Context, _ int, p int) (int, error) {
+	_, err := RunN(ctx, 0, []int{1, 2, 3}, func(_ context.Context, _ int, p int) (int, error) {
 		t.Fatal("fn ran under a cancelled context")
 		return p, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestGridMatchesNestedLoops checks Grid against the nested loops it
+// replaces: same point count, same order, and flat index i at
+// coordinates whose mixed-radix value is i.
+func TestGridMatchesNestedLoops(t *testing.T) {
+	for _, lens := range [][]int{{}, {1}, {4}, {2, 3}, {3, 1, 2}, {2, 2, 2, 2, 2, 2, 2, 2, 2}, {2, 0, 3}} {
+		var want [][]int
+		var walk func(prefix []int)
+		walk = func(prefix []int) {
+			if len(prefix) == len(lens) {
+				want = append(want, append([]int(nil), prefix...))
+				return
+			}
+			for v := 0; v < lens[len(prefix)]; v++ {
+				walk(append(prefix, v))
+			}
+		}
+		walk(nil)
+		got := Grid(lens...)
+		if len(got) != len(want) {
+			t.Fatalf("Grid%v: %d points, want %d", lens, len(got), len(want))
+		}
+		for i := range want {
+			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+				t.Fatalf("Grid%v point %d = %v, want %v", lens, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestValuesDefaultsToOneZeroPoint(t *testing.T) {
+	if got := Values[string](nil); len(got) != 1 || got[0] != "" {
+		t.Fatalf("Values(nil) = %q, want one zero value", got)
+	}
+	in := []int{3, 1}
+	if got := Values(in); &got[0] != &in[0] || len(got) != 2 {
+		t.Fatalf("Values(%v) = %v, want the slice itself", in, got)
 	}
 }

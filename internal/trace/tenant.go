@@ -194,7 +194,7 @@ func (es *envStream) next() (Request, bool) {
 // (ties break toward the lower class index), renumbering IDs globally
 // and stamping each request with its class index and priority. It
 // implements the same lazy O(in-flight) contract as Stream and plugs
-// into RunClusterFrom unchanged.
+// into serve.RunCluster unchanged.
 type MultiStream struct {
 	m       MultiGenerator
 	streams []*envStream

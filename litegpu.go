@@ -87,8 +87,8 @@ type (
 	// Workload.Stream): the constant-memory alternative to Generate for
 	// million-request horizons.
 	RequestStream = trace.Stream
-	// RequestSource is the lazy request feed the streaming serve entry
-	// points consume; *RequestStream implements it. Custom sources must
+	// RequestSource is the lazy request feed ServeClusterFrom
+	// consumes; *RequestStream implements it. Custom sources must
 	// yield requests in nondecreasing arrival order: an out-of-order,
 	// NaN or negative arrival, or a negative token count, ends the run
 	// with an error naming the request.
@@ -267,20 +267,6 @@ func PrefillStudy(opts Options) ([]Figure3Row, error) { return experiments.Figur
 func DecodeStudy(opts Options) ([]Figure3Row, error) { return experiments.Figure3b(opts) }
 
 // Serving ----------------------------------------------------------------------
-
-// Serve runs the discrete-event serving simulator over the request
-// stream until the horizon.
-func Serve(cfg ServeConfig, reqs []Request, horizon Seconds) (ServeMetrics, error) {
-	return serve.Run(cfg, reqs, horizon)
-}
-
-// ServeFrom is Serve over a lazy request source (typically a
-// Workload.Stream): arrivals are generated on demand and only the
-// in-flight working set is held in memory, so million-request horizons
-// run in O(in-flight) space with byte-identical metrics.
-func ServeFrom(cfg ServeConfig, src RequestSource, horizon Seconds) (ServeMetrics, error) {
-	return serve.RunFrom(cfg, src, horizon)
-}
 
 // CodingWorkload returns the paper's production-coding workload shape
 // (median prompt 1500 tokens) at the given request rate.

@@ -117,13 +117,23 @@ func TestServeViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Serve(cfg, reqs, 120)
+	m, err := serveOne(cfg, reqs, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Arrived == 0 {
 		t.Error("no arrivals in façade serve run")
 	}
+}
+
+// serveOne runs a one-pool cluster, named after its GPU, over reqs and
+// returns the pool's metrics.
+func serveOne(cfg ServeConfig, reqs []Request, horizon Seconds) (ServeMetrics, error) {
+	cm, err := ServeCluster(ServeClusterConfig{Pools: []ServePool{{Name: cfg.GPU.Name, Config: cfg}}}, reqs, horizon)
+	if err != nil {
+		return ServeMetrics{}, err
+	}
+	return cm.Pools[0].Metrics, nil
 }
 
 func TestWorkloads(t *testing.T) {
