@@ -159,7 +159,7 @@ func main() {
 	secondGPU := flag.String("second-gpu", "", "add a second pool of this GPU type serving the same trace (heterogeneous cluster)")
 	router := flag.String("router", "rr", "arrival router across pools: rr (round-robin) | jsq (join-shortest-queue)")
 	fabricSpec := flag.String("fabric", "off", "put the network in the event loop: off, or fabric[:link[:switch]] with fabric clos | leaf-spine | flat-circuit, link copper | pluggable | cpo, switch packet | circuit; with -plan also a comma list or auto (the default candidates)")
-	linkName := flag.String("link", "", "default link technology for -fabric specs that omit one: copper | pluggable | cpo; needs an enabled -fabric")
+	linkName := flag.String("link", "", "default link technology for -fabric specs that omit one: copper | pluggable | cpo; needs an enabled -fabric spec that omits its link")
 	kvSpec := flag.String("kv", "off", "model decode KV-cache memory as a finite paged resource: off, or policy[+prefix] with policy recompute | swap; with -plan also a comma list or auto (the default candidates)")
 	kvBlocks := flag.Int("kv-blocks", 0, "override the per-instance KV block budget (0 = derive from HBM capacity net of weights); needs an enabled -kv")
 	kvBlockTokens := flag.Int("kv-block-tokens", 0, "KV page size in tokens (0 = default 16); needs an enabled -kv")
@@ -282,9 +282,12 @@ func main() {
 	// The four candidate axes share one syntax: one value, a comma list,
 	// or auto (the axis's default candidate set).
 	scheds := must(cliaxis.Parse("scheduler", *scheduler, litegpu.SchedulerPolicies, litegpu.ParseSchedulerPolicy))
+	linkOn := false // some enabled -fabric spec omits its link and takes -link
 	fabrics := must(cliaxis.Parse("fabric", *fabricSpec, litegpu.DefaultFabricCandidates,
 		func(spec string) (litegpu.ServeNetworkConfig, error) {
-			return litegpu.ParseNetworkConfigWithLink(spec, *linkName)
+			n, err := litegpu.ParseNetworkConfigWithLink(spec, *linkName)
+			linkOn = linkOn || n.Enabled() && !strings.Contains(spec, ":")
+			return n, err
 		}))
 	kvcs := must(cliaxis.Parse("kv", *kvSpec, litegpu.DefaultKVPolicyCandidates, litegpu.ParseKVConfig))
 	gates := must(cliaxis.Parse("admission", *admission, litegpu.AdmissionPolicies, litegpu.ParseAdmissionPolicy))
@@ -304,7 +307,7 @@ func main() {
 	// zero config stays zero, keeping its infinite-memory or
 	// infinite-fabric meaning. A knob with no enabled candidate to tune
 	// is an error, not a silent no-op.
-	kvOn, netOn := false, false
+	kvOn, netOn, gateOn := false, false, false
 	for i := range kvcs {
 		if kvcs[i].Enabled() {
 			kvcs[i].Blocks, kvcs[i].BlockTokens = *kvBlocks, *kvBlockTokens
@@ -317,14 +320,6 @@ func main() {
 		}
 		netOn = netOn || fabrics[i].Enabled()
 	}
-	for _, knob := range []struct {
-		name, axis string
-		on         bool
-	}{{"kv-blocks", "kv", kvOn}, {"kv-block-tokens", "kv", kvOn}, {"fabric-latency-scale", "fabric", netOn}, {"link", "fabric", netOn}} {
-		if set[knob.name] && !knob.on {
-			fatalf("-%s only applies with an enabled -%s", knob.name, knob.axis)
-		}
-	}
 	// Auto adds the priority and adaptive gates at the default queue
 	// limit unless -queue-limit sets one; a listed gate needs it set.
 	ql := *queueLimit
@@ -335,7 +330,16 @@ func main() {
 	for i, pol := range gates {
 		if pol != litegpu.AdmitAll {
 			adms[i] = litegpu.ServeAdmissionConfig{Policy: pol, QueueLimit: ql, MinPriority: *minPriority, Levels: *admissionLevels}
+			gateOn = true
 		}
+	}
+	if err := cliaxis.CheckKnobs(flag.CommandLine,
+		cliaxis.Knob{Flag: "kv-blocks", Needs: "an enabled -kv", On: kvOn},
+		cliaxis.Knob{Flag: "kv-block-tokens", Needs: "an enabled -kv", On: kvOn},
+		cliaxis.Knob{Flag: "fabric-latency-scale", Needs: "an enabled -fabric", On: netOn},
+		cliaxis.Knob{Flag: "link", Needs: "an enabled -fabric spec that omits its link", On: linkOn},
+		cliaxis.Knob{Flag: "queue-limit", Needs: "a gated -admission (priority, adaptive or auto)", On: gateOn}); err != nil {
+		fatalf("%v", err)
 	}
 	var client litegpu.ServeClientConfig
 	if *clientTimeout > 0 {

@@ -96,14 +96,18 @@ func compareGolden(t *testing.T, file, got string) {
 }
 
 // TestCLIRejects pins the flag combinations litegpu-serve refuses
-// instead of silently ignoring: a tuning knob whose axis is off, and a
-// list or auto for an axis outside -plan.
+// instead of silently ignoring: a tuning knob with no candidate to act
+// on, and a list or auto for an axis outside -plan.
 func TestCLIRejects(t *testing.T) {
 	for _, tc := range []struct{ args, wantErr string }{
 		{"-kv off -kv-blocks 300", "-kv-blocks only applies with an enabled -kv"},
 		{"-kv-block-tokens 32", "-kv-block-tokens only applies with an enabled -kv"},
 		{"-fabric off -fabric-latency-scale 2", "-fabric-latency-scale only applies with an enabled -fabric"},
 		{"-link cpo", "-link only applies with an enabled -fabric"},
+		{"-plan -fabric auto -link copper", "-link only applies with an enabled -fabric spec that omits its link"},
+		{"-fabric clos:cpo -link copper", "-link only applies with an enabled -fabric spec that omits its link"},
+		{"-queue-limit 7", "-queue-limit only applies with a gated -admission"},
+		{"-plan -admission none -queue-limit 7", "-queue-limit only applies with a gated -admission"},
 		{"-plan -kv off -kv-blocks 300", "-kv-blocks only applies with an enabled -kv"},
 		{"-scheduler auto", "-scheduler takes exactly one value without -plan"},
 		{"-fabric off,clos", "-fabric takes exactly one value without -plan"},

@@ -74,10 +74,10 @@ func main() {
 	rateList := flag.String("rates", "0.5,1.5", "arrival rates (req/s)")
 	schedList := flag.String("scheduler", "static", "scheduling policies: static | continuous | chunked, or auto (all three)")
 	fabricList := flag.String("fabric", "off", "fabric axis: off and/or fabric[:link[:switch]] specs (clos | leaf-spine | flat-circuit), or auto (the default candidates), each simulated in the event loop per grid point")
-	linkName := flag.String("link", "", "default link technology for -fabric specs that omit one: copper | pluggable | cpo")
+	linkName := flag.String("link", "", "default link technology for -fabric specs that omit one: copper | pluggable | cpo; needs such a spec")
 	kvList := flag.String("kv", "off", "KV-memory axis: off and/or policy[+prefix] specs (recompute | swap), or auto (the default candidates), each simulated per grid point")
 	admList := flag.String("admission", "none", "overload-gate axis: none | priority | adaptive, or auto (all three), each simulated per grid point")
-	queueLimit := flag.Int("queue-limit", 64, "admission outstanding-work threshold for the priority/adaptive gates")
+	queueLimit := flag.Int("queue-limit", 64, "admission outstanding-work threshold for the priority/adaptive gates; needs a gated -admission")
 	clientTimeout := flag.Float64("client-timeout", 0, "closed-loop client deadline in seconds for every cell (0 = open-loop clients)")
 	clientRetries := flag.Int("client-retries", 1, "client retry budget when -client-timeout is set")
 	stragglerCV := flag.Float64("straggler-cv", 0, "persistent per-instance slow-factor coefficient of variation for every cell (0 = uniform)")
@@ -154,18 +154,28 @@ func main() {
 		return r, nil
 	}))
 	spec.Schedulers = must(cliaxis.Parse("scheduler", *schedList, litegpu.SchedulerPolicies, litegpu.ParseSchedulerPolicy))
+	linkOn := false // some enabled -fabric spec omits its link and takes -link
 	spec.Fabrics = must(cliaxis.Parse("fabric", *fabricList, litegpu.DefaultFabricCandidates,
 		func(s string) (litegpu.ServeNetworkConfig, error) {
-			return litegpu.ParseNetworkConfigWithLink(s, *linkName)
+			n, err := litegpu.ParseNetworkConfigWithLink(s, *linkName)
+			linkOn = linkOn || n.Enabled() && !strings.Contains(s, ":")
+			return n, err
 		}))
 	spec.KVPolicies = must(cliaxis.Parse("kv", *kvList, litegpu.DefaultKVPolicyCandidates, litegpu.ParseKVConfig))
 	gates := must(cliaxis.Parse("admission", *admList, litegpu.AdmissionPolicies, litegpu.ParseAdmissionPolicy))
+	gateOn := false
 	for _, pol := range gates {
 		adm := litegpu.ServeAdmissionConfig{}
 		if pol != litegpu.AdmitAll {
 			adm = litegpu.ServeAdmissionConfig{Policy: pol, QueueLimit: *queueLimit, MinPriority: 1}
+			gateOn = true
 		}
 		spec.Admissions = append(spec.Admissions, adm)
+	}
+	if err := cliaxis.CheckKnobs(flag.CommandLine,
+		cliaxis.Knob{Flag: "link", Needs: "an enabled -fabric spec that omits its link", On: linkOn},
+		cliaxis.Knob{Flag: "queue-limit", Needs: "a gated -admission (priority, adaptive or auto)", On: gateOn}); err != nil {
+		fatalf("%v", err)
 	}
 	// A column shows when its axis has several values or a non-default
 	// one.

@@ -77,6 +77,24 @@ func TestCLIGoldens(t *testing.T) {
 	}
 }
 
+// TestCLIRejects pins the knobs litegpu-sweep refuses instead of
+// silently ignoring when no candidate of their axis takes them.
+func TestCLIRejects(t *testing.T) {
+	for _, tc := range []struct{ args, wantErr string }{
+		{"-gpus H100 -models Llama3-8B -link copper", "-link only applies with an enabled -fabric spec that omits its link"},
+		{"-gpus H100 -models Llama3-8B -fabric auto -link copper", "-link only applies with an enabled -fabric spec that omits its link"},
+		{"-gpus H100 -models Llama3-8B -queue-limit 7", "-queue-limit only applies with a gated -admission"},
+	} {
+		stdout, stderr, err := runCLI(t, tc.args)
+		if err == nil || !strings.Contains(stderr, tc.wantErr) {
+			t.Errorf("litegpu-sweep %s: err %v, stderr %q; want failure mentioning %q", tc.args, err, stderr, tc.wantErr)
+		}
+		if stdout != "" {
+			t.Errorf("litegpu-sweep %s: printed %q before failing", tc.args, stdout)
+		}
+	}
+}
+
 // compareGolden checks (or, under LITEGPU_UPDATE_GOLDENS, rewrites) one
 // pinned stdout capture.
 func compareGolden(t *testing.T, file, got string) {

@@ -5,6 +5,7 @@
 package cliaxis
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 )
@@ -34,4 +35,30 @@ func Parse[T any](name, spec string, auto func() []T, parse func(string) (T, err
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// Knob is a tuning flag that acts only on some candidates of an axis,
+// such as -kv-blocks on the enabled -kv policies.
+type Knob struct {
+	// Flag is the knob's flag name, without the dash.
+	Flag string
+	// Needs completes the error "-Flag only applies with ...".
+	Needs string
+	// On reports whether some parsed candidate takes the knob.
+	On bool
+}
+
+// CheckKnobs returns an error naming the first knob set explicitly on
+// fs that has no candidate to act on: a knob with nothing to tune is an
+// error, not a silent no-op. A knob left at its default is never
+// rejected.
+func CheckKnobs(fs *flag.FlagSet, knobs ...Knob) error {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, k := range knobs {
+		if set[k.Flag] && !k.On {
+			return fmt.Errorf("-%s only applies with %s", k.Flag, k.Needs)
+		}
+	}
+	return nil
 }

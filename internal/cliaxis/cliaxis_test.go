@@ -1,6 +1,7 @@
 package cliaxis
 
 import (
+	"flag"
 	"fmt"
 	"strconv"
 	"strings"
@@ -36,5 +37,23 @@ func TestParse(t *testing.T) {
 		if err != nil || fmt.Sprint(got) != tc.want {
 			t.Errorf("Parse(%q) = %v, %v; want %s", tc.spec, got, err, tc.want)
 		}
+	}
+}
+
+func TestCheckKnobs(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.Int("set", 0, "")
+	fs.Int("unset", 0, "")
+	if err := fs.Parse([]string{"-set", "0"}); err != nil {
+		t.Fatal(err)
+	}
+	// A knob set to its default value is still set; one left alone is
+	// never rejected.
+	if err := CheckKnobs(fs, Knob{Flag: "unset", Needs: "x"}, Knob{Flag: "set", Needs: "y", On: true}); err != nil {
+		t.Errorf("CheckKnobs rejected a knob that applies or was not set: %v", err)
+	}
+	err := CheckKnobs(fs, Knob{Flag: "set", Needs: "an enabled -axis"})
+	if err == nil || err.Error() != "-set only applies with an enabled -axis" {
+		t.Errorf("CheckKnobs error = %v, want -set only applies with an enabled -axis", err)
 	}
 }

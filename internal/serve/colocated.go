@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"fmt"
 	"math"
 
 	"litegpu/internal/inference"
-	"litegpu/internal/kv"
 	"litegpu/internal/mathx"
 	"litegpu/internal/obs"
 	"litegpu/internal/sim"
@@ -22,18 +20,18 @@ const defaultPrefillChunk = 512
 // both phases, iterating over a batch of decoding requests while
 // admitting and prefilling new ones.
 type colocEngine struct {
-	instanceState
-	// active holds generations being decoded; pending holds admitted
-	// requests whose prompts are not fully prefilled yet. Both reuse
-	// their storage across iterations.
-	active  []*activeReq
+	// The batch holds the generations being decoded; pending holds
+	// admitted requests whose prompts are not fully prefilled yet. With
+	// paged KV each pending request holds a full prompt reservation in
+	// the batch's allocator: a colocated instance prefills into the same
+	// HBM its decode cache lives in.
+	batch
 	pending deque[*activeReq]
 
-	// One in-flight step: its end time, its prefill/decode second
-	// split (for busy accounting and failure un-counting), how many
-	// pending entries its prefill part completes, and — for chunked
-	// steps — how many head-of-line prompt tokens it processes.
-	stepEnd     float64 // 0 when idle
+	// The in-flight step's prefill/decode second split (for busy
+	// accounting and failure un-counting), how many pending entries its
+	// prefill part completes, and — for chunked steps — how many
+	// head-of-line prompt tokens it processes.
 	stepPfx     float64
 	stepDec     float64
 	stepPrefill int
@@ -41,12 +39,6 @@ type colocEngine struct {
 
 	pBusy float64
 	dBusy float64
-
-	// al is the instance's paged KV allocator; nil with Config.KV off.
-	// Admitted-but-pending requests hold a full prompt reservation — a
-	// colocated instance prefills into the same HBM its decode cache
-	// lives in.
-	al *kv.Allocator
 }
 
 // colocSched implements the two colocated policies. With chunked=false
@@ -59,7 +51,6 @@ type colocEngine struct {
 // decode step of the running batch, so the decode stall per token is
 // bounded by the chunk size rather than the prompt length.
 type colocSched struct {
-	cs   *clusterSim
 	pool *poolSim
 	cfg  Config
 
@@ -83,29 +74,19 @@ type colocSched struct {
 	chunkTime   func(tokens int) float64
 }
 
-func newColocSched(cs *clusterSim, pool *poolSim) (*colocSched, error) {
+func newColocSched(pool *poolSim) (*colocSched, error) {
 	cfg := pool.cfg
 	opts := cfg.Opts
 	n, g := cfg.colocShape()
-	maxKV := inference.MaxFeasibleBatch(cfg.GPU, cfg.Model, inference.Decode, g, opts)
-	if maxKV <= 0 {
-		return nil, fmt.Errorf("serve: %s does not fit on %d×%s for decode (%s scheduler)",
-			cfg.Model.Name, g, cfg.GPU.Name, cfg.Scheduler)
-	}
-	if inference.MaxFeasibleBatch(cfg.GPU, cfg.Model, inference.Prefill, g, opts) < 1 {
-		return nil, fmt.Errorf("serve: %s does not fit on %d×%s for prefill (%s scheduler)",
-			cfg.Model.Name, g, cfg.GPU.Name, cfg.Scheduler)
-	}
-	batchCap := cfg.MaxDecodeBatch
-	if batchCap > maxKV {
-		batchCap = maxKV
+	batchCap, blocks, err := sizeBatches(cfg, g, g)
+	if err != nil {
+		return nil, err
 	}
 	chunk := cfg.PrefillChunk
 	if chunk <= 0 {
 		chunk = defaultPrefillChunk
 	}
 	c := &colocSched{
-		cs:          cs,
 		pool:        pool,
 		cfg:         cfg,
 		chunked:     cfg.Scheduler == ChunkedPrefill,
@@ -119,18 +100,8 @@ func newColocSched(cs *clusterSim, pool *poolSim) (*colocSched, error) {
 		chunkTime:   newChunkTimer(cfg, opts, g),
 	}
 	c.stepDoneH = c.onStepDone
-	if cfg.KV.Enabled() {
-		blocks, err := kvBlocksPerInstance(cfg, g)
-		if err != nil {
-			return nil, err
-		}
-		bt := cfg.KV.BlockTokensOrDefault()
-		for j := range c.engines {
-			c.engines[j].al = kv.NewAllocator(blocks, bt, cfg.KV.PrefixCache)
-		}
-		// With paged KV the allocator is the memory gate: the
-		// whole-context MaxFeasibleBatch cap above no longer applies.
-		c.cap = cfg.MaxDecodeBatch
+	for j := range c.engines {
+		c.engines[j].init(int32(j), cfg.KV, blocks)
 	}
 	return c, nil
 }
@@ -176,8 +147,6 @@ func (c *colocSched) idle(id int) bool {
 func (c *colocSched) busy() (prefill, decode float64) {
 	for i := range c.engines {
 		prefill += c.engines[i].pBusy
-	}
-	for i := range c.engines {
 		decode += c.engines[i].dBusy
 	}
 	return prefill, decode
@@ -204,11 +173,10 @@ func (c *colocSched) dispatch(now float64) {
 func (c *colocSched) admit(e *colocEngine, now float64) {
 	for len(e.active)+e.pending.Len() < c.cap && c.q.Len() > 0 {
 		a := c.q.At(0)
-		if c.pool.clientOn && c.pool.isCancelled(a.req.ID) {
+		if c.pool.purged(e.al, a, now) {
 			// The client gave up while the request queued: reclaim it
 			// before it occupies a batch slot.
 			c.q.PopFront()
-			c.pool.settleCancelled(a.req.ID, a)
 			continue
 		}
 		if a.promptLeft > 0 {
@@ -220,12 +188,7 @@ func (c *colocSched) admit(e *colocEngine, now float64) {
 			}
 			if math.IsInf(c.prefillTime(c.one[:]), 1) || e.al != nil && kvNeverFits(e.al, c.one[0].PromptTokens) {
 				c.q.PopFront()
-				if c.pool.rec != nil {
-					c.pool.rec.Request(obs.Drop, now, int32(c.pool.idx), -1, int64(a.req.ID), float64(a.req.PromptTokens))
-				}
-				c.pool.m.Dropped++
-				c.pool.clientSettle(a.req.ID)
-				c.pool.freeActive(a)
+				c.pool.dropActive(e.al, a, -1, now)
 				continue
 			}
 		}
@@ -239,11 +202,7 @@ func (c *colocSched) admit(e *colocEngine, now float64) {
 		}
 		// A requeued request that already finished prefill rejoins the
 		// decode batch directly.
-		if !a.admitted {
-			a.admitted = true
-			a.decodeAt = now
-		}
-		e.active = append(e.active, a)
+		e.join(a, now)
 	}
 }
 
@@ -255,20 +214,10 @@ func (c *colocSched) admit(e *colocEngine, now float64) {
 //litegpu:hotpath
 func (c *colocSched) startStep(j int, now float64) {
 	e := &c.engines[j]
-	if c.pool.clientOn {
-		// Purge cancelled pending heads first: they hold full prompt KV
-		// reservations that admission is waiting on.
-		for e.pending.Len() > 0 {
-			a := e.pending.At(0)
-			if !c.pool.isCancelled(a.req.ID) {
-				break
-			}
-			e.pending.PopFront()
-			if e.al != nil {
-				c.pool.kvRelease(e.al, a, now)
-			}
-			c.pool.settleCancelled(a.req.ID, a)
-		}
+	// Purge cancelled pending heads first: they hold full prompt KV
+	// reservations that admission is waiting on.
+	for e.pending.Len() > 0 && c.pool.purged(e.al, e.pending.At(0), now) {
+		e.pending.PopFront()
 	}
 	if !e.draining {
 		c.admit(e, now)
@@ -276,7 +225,7 @@ func (c *colocSched) startStep(j int, now float64) {
 	if e.al != nil && len(e.active) > 0 && (c.chunked || e.pending.Len() == 0) {
 		// This step will decode: claim every survivor's token growth
 		// before timing it (growth can shrink the batch by preemption).
-		c.kvGrowActives(j, now)
+		c.pool.growBatch(&e.batch, &e.pending, now)
 	}
 	var pDt, dDt float64
 	nPrefill, chunkTokens := 0, 0
@@ -357,155 +306,34 @@ func (c *colocSched) startStep(j int, now float64) {
 	if mathx.ExactEq(dDt, 0) {
 		prio = prioPrefill + e.prio
 	}
-	e.doneEv = c.cs.eng.ScheduleCall(e.stepEnd, prio, c.stepDoneH, uint64(j))
+	e.doneEv = c.pool.cs.eng.ScheduleCall(e.stepEnd, prio, c.stepDoneH, uint64(j))
 }
 
-// kvGrowActives claims the block growth for the token each active
-// sequence emits this step. When the allocator runs dry, eviction
-// prefers the cheapest memory first: pending reservations (nothing
-// decoded yet — they just release and requeue, uncounted), then the
-// newest active sequences (least sunk decode work). A sole occupant
-// that still cannot grow is dropped — nothing is left to evict.
+// resume puts a sequence that holds no blocks back at the head of the
+// queue. Admission routes it by its promptLeft: straight back into a
+// decode batch, or into pending when prompt tokens remain.
 //
 //litegpu:hotpath
-func (c *colocSched) kvGrowActives(j int, now float64) {
-	e := &c.engines[j]
-	p := c.pool
-	for i := 0; i < len(e.active); {
-		a := e.active[i]
-		if p.kvGrow(e.al, a, now) {
-			i++
-			continue
-		}
-		if e.pending.Len() > 0 {
-			v := e.pending.PopFront()
-			p.kvRelease(e.al, v, now)
-			c.q.PushFront(v)
-			continue
-		}
-		last := len(e.active) - 1
-		if last > i {
-			victim := e.active[last]
-			e.active[last] = nil
-			e.active = e.active[:last]
-			c.preempt(j, victim, now)
-			continue // retry a's growth with the freed blocks
-		}
-		if i > 0 {
-			// a itself is the newest remaining sequence: evict it.
-			e.active[last] = nil
-			e.active = e.active[:last]
-			c.preempt(j, a, now)
-			return
-		}
-		// Sole occupant that cannot grow: it can never finish.
-		if p.rec != nil {
-			p.rec.Request(obs.Drop, now, int32(p.idx), int32(j), int64(a.req.ID), float64(a.req.PromptTokens))
-		}
-		p.kvRelease(e.al, a, now)
-		p.m.Dropped++
-		p.clientSettle(a.req.ID)
-		p.freeActive(a)
-		e.active[0] = nil
-		e.active = e.active[:0]
-		return
-	}
+func (c *colocSched) resume(a *activeReq) {
+	c.q.PushFront(a)
 }
 
-// preempt evicts victim from engine j mid-generation: its blocks are
-// released and its KV either rides the fabric out and back (Swap) or is
-// discarded and rebuilt by a prefill pass over its whole context
-// (Recompute — promptLeft is reset to prompt plus generated tokens, so
-// re-admission routes it through the pending prefill path).
+// rebuild requeues a preempted sequence at the head of the queue with
+// promptLeft reset to prompt plus generated tokens, so re-admission
+// routes it through the pending prefill path.
 //
 //litegpu:hotpath
-func (c *colocSched) preempt(j int, victim *activeReq, now float64) {
-	p := c.pool
-	e := &c.engines[j]
-	p.kvPreempt++
-	tokens := kvTokens(victim)
-	if p.rec != nil {
-		p.rec.Request(obs.KVPreempt, now, int32(p.idx), int32(j), int64(victim.req.ID), float64(tokens))
-	}
-	p.kvRelease(e.al, victim, now)
-	if c.cfg.KV.Policy == kv.Swap {
-		c.startSwap(j, victim, now, tokens)
-		return
-	}
-	p.kvRecompute += tokens
-	victim.promptLeft = tokens
-	c.q.PushFront(victim)
-}
-
-// startSwap prices a preemption swap as one fabric transfer of twice
-// the sequence's block payload — swap-out to router-attached remote
-// memory plus the eventual swap-in — delivered as an xferSwap.
-//
-//litegpu:hotpath
-func (c *colocSched) startSwap(j int, a *activeReq, now float64, tokens int) {
-	p := c.pool
-	if c.cs.fab == nil {
-		// No fabric configured: the round-trip is free.
-		c.swapReturn(a, now)
-		return
-	}
-	idx := p.newXfer()
-	rec := &p.xfers[idx]
-	*rec = xferRec{
-		kind: xferSwap, src: int32(j), dst: int32(j),
-		a: a, start: now,
-		bytes: 2 * p.kvXferBytes(tokens),
-	}
-	rec.tid = c.cs.fab.Start(p.epBase+j, 0, rec.bytes,
-		prioTransfer+c.engines[j].prio, c.cs.xferH, packArg(p.idx, int(idx)))
-	p.liveXfers = append(p.liveXfers, idx)
-	if p.rec != nil {
-		p.rec.Request(obs.KVSwapOut, now, int32(p.idx), int32(j), int64(a.req.ID), rec.bytes)
-	}
-}
-
-// swapReturn puts a preempted sequence back at the head of the queue
-// once its KV is recoverable (its promptLeft is zero, so admission
-// routes it straight back into a decode batch).
-//
-//litegpu:hotpath
-func (c *colocSched) swapReturn(a *activeReq, now float64) {
+func (c *colocSched) rebuild(a *activeReq) {
+	a.promptLeft = kvTokens(a)
 	c.q.PushFront(a)
 }
 
 //litegpu:hotpath
 func (c *colocSched) onStepDone(now float64, arg uint64) {
-	c.completeStep(int(arg), now)
-}
-
-//litegpu:hotpath
-func (c *colocSched) completeStep(j int, now float64) {
-	e := &c.engines[j]
+	e := &c.engines[arg]
 	e.doneEv = 0
 	if e.stepDec > 0 {
-		w := 0
-		for _, a := range e.active {
-			if c.pool.clientOn && c.pool.isCancelled(a.req.ID) {
-				// The client timed out mid-step: the batch member leaves
-				// without emitting; its step share is sunk cost.
-				if e.al != nil {
-					c.pool.kvRelease(e.al, a, now)
-				}
-				c.pool.settleCancelled(a.req.ID, a)
-				continue
-			}
-			if !c.pool.emitToken(a, now) {
-				e.active[w] = a
-				w++
-			} else {
-				if e.al != nil {
-					c.pool.kvRelease(e.al, a, now)
-				}
-				c.pool.freeActive(a)
-			}
-		}
-		clearTail(e.active, w)
-		e.active = e.active[:w]
+		c.pool.retire(&e.batch, now)
 	}
 	if e.stepPrefill > 0 {
 		if c.chunked {
@@ -514,58 +342,40 @@ func (c *colocSched) completeStep(j int, now float64) {
 			if head.promptLeft <= 0 {
 				head.promptLeft = 0
 				e.pending.PopFront()
-				if c.pool.clientOn && c.pool.isCancelled(head.req.ID) {
-					if e.al != nil {
-						c.pool.kvRelease(e.al, head, now)
-					}
-					c.pool.settleCancelled(head.req.ID, head)
-				} else {
-					if c.pool.rec != nil {
-						c.pool.rec.Request(obs.PrefillEnd, now, int32(c.pool.idx), int32(j), int64(head.req.ID), 0)
-					}
-					c.finishPrefill(head, now)
-					e.active = append(e.active, head)
-				}
+				c.finishPrefill(e, head, now)
 			} else if c.pool.rec != nil {
-				c.pool.rec.Request(obs.Chunk, now, int32(c.pool.idx), int32(j), int64(head.req.ID), float64(head.promptLeft))
+				c.pool.rec.Request(obs.Chunk, now, int32(c.pool.idx), e.id, int64(head.req.ID), float64(head.promptLeft))
 			}
 		} else {
 			for k := 0; k < e.stepPrefill; k++ {
 				a := e.pending.PopFront()
 				a.promptLeft = 0
-				if c.pool.clientOn && c.pool.isCancelled(a.req.ID) {
-					if e.al != nil {
-						c.pool.kvRelease(e.al, a, now)
-					}
-					c.pool.settleCancelled(a.req.ID, a)
-					continue
-				}
-				if c.pool.rec != nil {
-					c.pool.rec.Request(obs.PrefillEnd, now, int32(c.pool.idx), int32(j), int64(a.req.ID), 0)
-				}
-				c.finishPrefill(a, now)
-				e.active = append(e.active, a)
+				c.finishPrefill(e, a, now)
 			}
 		}
 	}
 	e.stepEnd, e.stepPfx, e.stepDec = 0, 0, 0
 	e.stepPrefill, e.stepChunk = 0, 0
-	c.cs.requestDispatch(c.pool, now)
+	c.pool.cs.requestDispatch(c.pool, now)
 }
 
-// finishPrefill records the TTFT sample (exactly once per request, no
-// matter how many requeues preceded it) and stamps decode admission.
+// finishPrefill moves a fully prefilled request into e's decode batch,
+// unless its client gave up meanwhile. The TTFT sample is recorded
+// exactly once per request, no matter how many requeues preceded it.
 //
 //litegpu:hotpath
-func (c *colocSched) finishPrefill(a *activeReq, now float64) {
+func (c *colocSched) finishPrefill(e *colocEngine, a *activeReq, now float64) {
+	p := c.pool
+	if p.purged(e.al, a, now) {
+		return
+	}
+	if p.rec != nil {
+		p.rec.Request(obs.PrefillEnd, now, int32(p.idx), e.id, int64(a.req.ID), 0)
+	}
 	if !a.ttftDone {
-		a.ttftDone = true
-		c.pool.recordTTFT(now-float64(a.req.Arrival), a.req.Class)
+		p.stampTTFT(a, now)
 	}
-	if !a.admitted {
-		a.admitted = true
-		a.decodeAt = now
-	}
+	e.join(a, now)
 }
 
 // fail reclaims a dead instance's in-flight work. The aborted step's
@@ -586,96 +396,10 @@ func (c *colocSched) fail(id int, now float64, drop bool) {
 		e.stepEnd, e.stepPfx, e.stepDec = 0, 0, 0
 		e.stepPrefill, e.stepChunk = 0, 0
 	}
-	if e.al != nil {
-		// The HBM died with the instance: every resident sequence, every
-		// pending reservation, and the shared prefix cache are gone.
-		// Requeued requests re-admit from scratch on a live instance.
-		for _, a := range e.active {
-			a.kvSeq = -1
-		}
-		for i := 0; i < e.pending.Len(); i++ {
-			e.pending.At(i).kvSeq = -1
-		}
-		if used := e.al.InUse(); used != 0 {
-			c.pool.kvAccount(now, -used)
-		}
-		e.al.Reset()
+	c.pool.failBatch(&e.batch, &e.pending, now, drop)
+	if c.pool.cs.fab != nil {
+		c.pool.failXfers(id, now, drop)
 	}
-	n := e.pending.Len() + len(e.active)
-	if n > 0 {
-		if c.pool.rec != nil {
-			k := obs.Requeue
-			if drop {
-				k = obs.Drop
-			}
-			for i := 0; i < e.pending.Len(); i++ {
-				c.pool.rec.Request(k, now, int32(c.pool.idx), int32(id), int64(e.pending.At(i).req.ID), 0)
-			}
-			for _, a := range e.active {
-				c.pool.rec.Request(k, now, int32(c.pool.idx), int32(id), int64(a.req.ID), 0)
-			}
-		}
-		if drop {
-			c.pool.m.DroppedOnFailure += n
-			for e.pending.Len() > 0 {
-				a := e.pending.PopFront()
-				c.pool.clientSettle(a.req.ID)
-				c.pool.freeActive(a)
-			}
-			for _, a := range e.active {
-				c.pool.clientSettle(a.req.ID)
-				c.pool.freeActive(a)
-			}
-		} else {
-			c.pool.m.Requeued += n
-			// Requeue ahead of the waiting queue, preserving [pending...,
-			// active..., old queue...] order: push active first, then
-			// pending, each back-to-front.
-			for i := len(e.active) - 1; i >= 0; i-- {
-				c.q.PushFront(e.active[i])
-			}
-			for i := e.pending.Len() - 1; i >= 0; i-- {
-				c.q.PushFront(e.pending.At(i))
-			}
-			e.pending.DiscardFront(e.pending.Len())
-		}
-		clearTail(e.active, 0)
-		e.active = e.active[:0]
-	}
-	if e.al != nil && c.cs.fab != nil {
-		c.failSwaps(id, now, drop)
-	}
-}
-
-// failSwaps reclaims in-flight swap transfers touching a dead instance.
-// The swapped-out copy lives in remote memory and survives the failure;
-// under the requeue policy the sequence just needs a live instance to
-// swap back into, under drop it is abandoned.
-//
-//litegpu:hotpath
-func (c *colocSched) failSwaps(id int, now float64, drop bool) {
-	p := c.pool
-	live := p.liveXfers
-	w := 0
-	for _, idx := range live {
-		rec := &p.xfers[idx]
-		if int(rec.src) != id && int(rec.dst) != id {
-			live[w] = idx
-			w++
-			continue
-		}
-		c.cs.fab.Cancel(rec.tid)
-		if drop {
-			p.m.DroppedOnFailure++
-			p.clientSettle(rec.a.req.ID)
-			p.freeActive(rec.a)
-		} else {
-			p.m.Requeued++
-			c.q.PushFront(rec.a)
-		}
-		p.freeXfer(idx)
-	}
-	p.liveXfers = live[:w]
 }
 
 func (c *colocSched) recovered(int, float64) {
@@ -683,10 +407,14 @@ func (c *colocSched) recovered(int, float64) {
 	// picks up work at the dispatch pass that follows recovery.
 }
 
-// deliverKV is unreachable: colocated instances run both phases, so no
-// KV cache ever crosses the fabric between them.
+// deliverKV and handoffLost are unreachable: colocated instances run
+// both phases, so no KV cache ever crosses the fabric between them.
 func (c *colocSched) deliverKV(*activeReq, float64) {
 	panic("serve: KV handoff delivered to a colocated scheduler")
+}
+
+func (c *colocSched) handoffLost(int32, int, float64) bool {
+	panic("serve: KV handoff lost on a colocated scheduler")
 }
 
 // newChunkTimer returns a memoized chunk-prefill duration function:

@@ -59,7 +59,9 @@ type activeReq struct {
 	// mid-chunk loses the in-flight chunk but never double-counts or
 	// skips tokens across requeues.
 	promptLeft int
-	ttftDone   bool
+	// ttftDone is set once the request's TTFT sample is recorded (see
+	// poolSim.stampTTFT); it survives requeues.
+	ttftDone bool
 
 	// kvSeq is the request's sequence handle in its decode engine's
 	// paged KV allocator; -1 when it holds no blocks (KV off, queued,
@@ -110,7 +112,7 @@ const ingressBytesPerToken = 4
 const (
 	xferKV      int8 = iota // KV-cache handoff: prefill → decode instance
 	xferIngress             // routed arrival: router → pool instance
-	xferSwap                // preempted KV returning to decode: swap round-trip or recompute handoff (no TTFT stamp)
+	xferSwap                // preempted KV returning to decode (no TTFT stamp): a swap round-trip (src == dst) or a recompute handoff
 )
 
 // xferRec is one in-flight fabric transfer's serving-side state,
@@ -136,6 +138,7 @@ type poolSim struct {
 	cfg    Config
 	spares int
 	sched  scheduler
+	cs     *clusterSim // the simulation the pool runs in
 
 	// afrPerGPU and flopsPerGPU weight this pool's instances in
 	// cluster-total reliability aggregates: failure odds scale with
@@ -188,11 +191,9 @@ type poolSim struct {
 	// open && deadline armed); cancelled maps a timed-out request's ID
 	// to its tombstone slot until a scheduler choke point reclaims the
 	// in-queue copy. retrySeq hands out fresh negative IDs to
-	// resubmissions so they never collide with trace IDs. eng/prioBase
-	// mirror the cluster's engine and the pool's priority offset so
-	// pool-level settle paths can cancel deadline events; deadlineQ is
-	// the pool's FIFO calendar queue for those deadlines.
-	eng        *sim.Engine
+	// resubmissions so they never collide with trace IDs. prioBase is
+	// the pool's priority offset; deadlineQ is the pool's FIFO calendar
+	// queue for client deadlines.
 	deadlineQ  sim.Queue
 	prioBase   int
 	clientOn   bool
@@ -234,6 +235,9 @@ type poolSim struct {
 	netSec       float64
 	ttftOK       int
 	tbtOK        int
+	// droppedAfterTTFT counts the Dropped requests whose TTFT sample was
+	// already recorded; they stay in TTFT attainment's denominator.
+	droppedAfterTTFT int
 }
 
 // newXfer returns a fresh transfer-record index from the pool's arena.
@@ -249,6 +253,38 @@ func (p *poolSim) newXfer() int32 {
 	}
 	p.xfers = append(p.xfers, xferRec{})
 	return int32(len(p.xfers) - 1)
+}
+
+// startXfer books a fabric transfer for rec from endpoint src to dst at
+// instance priority prio, and reports it to the observer as kind against
+// instance rec.src. A transfer carrying live request state (rec.a) is
+// listed live, so a failure or a client timeout can find it; an ingress
+// carries its request by value and is reclaimed at delivery.
+//
+//litegpu:hotpath
+func (p *poolSim) startXfer(rec xferRec, src, dst, prio int, kind obs.Kind, now float64) {
+	idx := p.newXfer()
+	rec.start = now
+	p.xfers[idx] = rec
+	p.sendXfer(idx, src, dst, prio)
+	if rec.a != nil {
+		p.liveXfers = append(p.liveXfers, idx)
+	}
+	if p.rec != nil {
+		id := rec.req.ID
+		if rec.a != nil {
+			id = rec.a.req.ID
+		}
+		p.rec.Request(kind, now, int32(p.idx), rec.src, int64(id), rec.bytes)
+	}
+}
+
+// sendXfer puts transfer record idx on the fabric, from endpoint src to
+// dst, in the transfer band at instance priority prio.
+//
+//litegpu:hotpath
+func (p *poolSim) sendXfer(idx int32, src, dst, prio int) {
+	p.xfers[idx].tid = p.cs.fab.Start(src, dst, p.xfers[idx].bytes, prioTransfer+prio, p.cs.xferH, packArg(p.idx, int(idx)))
 }
 
 // freeXfer recycles a transfer record, clearing it so the arena does
@@ -421,19 +457,50 @@ func (p *poolSim) kvXferBytes(tokens int) float64 {
 	return p.kvPerToken * float64(tokens)
 }
 
-// recordTTFT appends one time-to-first-token sample and its SLO checks
-// (pool-wide, and per class against the class's own SLO when class
-// accounting is on).
+// stampTTFT records a's time-to-first-token sample at now and its SLO
+// checks (pool-wide, and per class against the class's own SLO when
+// class accounting is on).
 //
 //litegpu:hotpath
-func (p *poolSim) recordTTFT(ttft float64, class int) {
+func (p *poolSim) stampTTFT(a *activeReq, now float64) {
+	a.ttftDone = true
+	ttft := now - float64(a.req.Arrival)
 	p.ttfts = append(p.ttfts, ttft)
 	if units.Seconds(ttft) <= pickSLO(p.cfg.Opts.TTFTLimit, 1.0) {
 		p.ttftOK++
 	}
-	if p.classesOn && units.Seconds(ttft) <= p.classSLO(class) {
-		p.classAt(class).ttftOK++
+	if p.classesOn && units.Seconds(ttft) <= p.classSLO(a.req.Class) {
+		p.classAt(a.req.Class).ttftOK++
 	}
+}
+
+// drop abandons request r, which the pool can never serve: it is too
+// large for any prefill pass, or its KV outgrew an instance's memory.
+// inst is the instance that gave up on it (-1 for none). stamped marks a
+// request whose TTFT sample was already recorded: it stays in TTFT
+// attainment's denominator, so its first token counts on both sides and
+// attainment never exceeds 1.
+//
+//litegpu:hotpath
+func (p *poolSim) drop(r trace.Request, inst int32, stamped bool, now float64) {
+	if p.rec != nil {
+		p.rec.Request(obs.Drop, now, int32(p.idx), inst, int64(r.ID), float64(r.PromptTokens))
+	}
+	p.m.Dropped++
+	if stamped {
+		p.droppedAfterTTFT++
+	}
+	p.clientSettle(r.ID)
+}
+
+// dropActive drops a live request: its blocks in al, if it holds any,
+// are released and its state recycles.
+//
+//litegpu:hotpath
+func (p *poolSim) dropActive(al *kv.Allocator, a *activeReq, inst int32, now float64) {
+	p.drop(a.req, inst, a.ttftDone, now)
+	p.kvRelease(al, a, now)
+	p.freeActive(a)
 }
 
 // emitToken advances one active generation by a token at `now`,
@@ -645,6 +712,7 @@ func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
 			name:        name,
 			idx:         pi,
 			cfg:         cfg,
+			cs:          s,
 			spares:      spares,
 			spareFree:   spares,
 			afrPerGPU:   fp.AFR(cfg.GPU),
@@ -653,7 +721,6 @@ func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
 		if cfg.KV.Enabled() {
 			p.kvBlockTokens = cfg.KV.BlockTokensOrDefault()
 		}
-		p.eng = s.eng
 		p.prioBase = poolIndexBase(pi)
 		p.rec = s.rec
 		if s.rec != nil {
@@ -672,9 +739,9 @@ func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
 		p.classesOn = len(cfg.Client.Classes) > 0 || cfg.Admission.Policy != AdmitAll
 		var err error
 		if cfg.Scheduler.Colocated() {
-			p.sched, err = newColocSched(s, p)
+			p.sched, err = newColocSched(p)
 		} else {
-			p.sched, err = newStaticSched(s, p)
+			p.sched, err = newStaticSched(p)
 		}
 		if err != nil {
 			return nil, err
@@ -802,24 +869,21 @@ func (s *clusterSim) onXfer(now float64, arg uint64) {
 	switch rec.kind {
 	case xferKV:
 		a := rec.a
-		if p.clientOn && p.isCancelled(a.req.ID) {
+		if p.purged(nil, a, now) {
 			// The client timed out while the KV handoff was in flight
 			// and the transfer beat the eager cancel scan (or the
 			// tombstone was laid after dispatch): drop the delivery.
-			p.settleCancelled(a.req.ID, a)
 			break
 		}
-		p.recordTTFT(now-float64(a.req.Arrival), a.req.Class)
 		p.sched.deliverKV(a, now)
 	case xferSwap:
 		// A preempted sequence's KV is back: no TTFT stamp (its first
 		// token shipped before preemption), straight to the decode path.
-		p.sched.swapReturn(rec.a, now)
+		p.sched.resume(rec.a)
 	default:
-		if p.clientOn && p.isCancelled(rec.req.ID) {
+		if p.purgedID(rec.req.ID) {
 			// Routed arrival whose client gave up mid-ingress: the copy
 			// rode the transfer by value, so the tombstone settles here.
-			p.settleCancelled(rec.req.ID, nil)
 			break
 		}
 		if p.rec != nil {
@@ -842,18 +906,8 @@ func (s *clusterSim) startIngress(p *poolSim, r trace.Request, now float64) {
 	n := p.sched.numInstances()
 	inst := p.ingressRR % n
 	p.ingressRR++
-	idx := p.newXfer()
-	rec := &p.xfers[idx]
-	*rec = xferRec{
-		kind: xferIngress, src: -1, dst: -1,
-		req: r, start: now,
-		bytes: float64(r.PromptTokens) * ingressBytesPerToken,
-	}
-	rec.tid = s.fab.Start(0, p.epBase+inst, rec.bytes,
-		prioTransfer+p.sched.state(inst).prio, s.xferH, packArg(p.idx, int(idx)))
-	if p.rec != nil {
-		p.rec.Request(obs.XferStart, now, int32(p.idx), -1, int64(r.ID), rec.bytes)
-	}
+	p.startXfer(xferRec{kind: xferIngress, src: -1, dst: -1, req: r, bytes: float64(r.PromptTokens) * ingressBytesPerToken},
+		0, p.epBase+inst, p.sched.state(inst).prio, obs.XferStart, now)
 }
 
 // poolIndexBase spaces engine priorities so that pool 0's engines
@@ -1254,6 +1308,7 @@ func (s *clusterSim) assemble() ClusterMetrics {
 	var (
 		nt, nb, ne, nx     int
 		ttftOK, tbtOK      int
+		droppedAfterTTFT   int
 		pBusyGPU, dBusyGPU float64
 		pGPUs, dGPUs       int
 		downFLOPSec        float64
@@ -1281,7 +1336,7 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		m.TBT = mathx.SummarizeParts(buf, p.tbts)
 		m.E2E = mathx.SummarizeParts(buf, p.e2es)
 		m.TTFTAttainmentCompleted = ratio(p.ttftOK, len(p.ttfts))
-		m.TTFTAttainment = ratio(p.ttftOK, m.Arrived-m.Dropped)
+		m.TTFTAttainment = ratio(p.ttftOK, m.Arrived-m.Dropped+p.droppedAfterTTFT)
 		m.TBTAttainment = ratio(p.tbtOK, len(p.tbts))
 		m.TransferBytes = mathx.SummarizeParts(buf, p.xferB)
 		m.TransferTime = mathx.SummarizeParts(buf, p.xferT)
@@ -1399,6 +1454,7 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		e2eSec += poolE2E
 		ttftOK += p.ttftOK
 		tbtOK += p.tbtOK
+		droppedAfterTTFT += p.droppedAfterTTFT
 		// Weight busy time by the GPUs behind it so the aggregate stays
 		// GPU-weighted across heterogeneous pools (within one pool the
 		// two weightings coincide).
@@ -1447,7 +1503,7 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		t.NetworkBoundFraction = netSec / e2eSec
 	}
 	t.TTFTAttainmentCompleted = ratio(ttftOK, nt)
-	t.TTFTAttainment = ratio(ttftOK, t.Arrived-t.Dropped)
+	t.TTFTAttainment = ratio(ttftOK, t.Arrived-t.Dropped+droppedAfterTTFT)
 	t.TBTAttainment = ratio(tbtOK, nb)
 	t.KVCacheHitRate = ratio(kvHits, kvLookups)
 	if h > 0 {

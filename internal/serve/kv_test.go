@@ -183,31 +183,49 @@ func TestKVPeakRespectsBudget(t *testing.T) {
 	}
 }
 
-// TestKVNeverFitRequestIsDropped pins that a request whose prompt
-// needs more KV blocks than an instance holds in total is dropped
-// before prefill instead of blocking the head-of-line KV admission
-// forever: with a 300-block (4,800-token) budget, a 6,000-token prompt
-// at the head of the queue used to stall every request behind it for
-// the whole run. It must be the only drop, never stamp a first token,
-// and everything behind it must complete.
+// TestKVNeverFitRequestIsDropped pins the two ways a sequence can
+// outsize a 300-block (4,800-token) budget. A 6,000-token prompt never
+// fits: it is dropped before prefill instead of blocking head-of-line KV
+// admission forever (it used to stall every request behind it for the
+// whole run), and it never stamps a first token. A 4,000-token prompt
+// fits but outgrows the allocator mid-decode: once it is the sole
+// occupant it is dropped after its first token was stamped, and that
+// token must not push TTFT attainment above 1 (the drop used to leave
+// the denominator while its hit stayed in the numerator). Either way it
+// is the only drop, and everything behind it completes.
 func TestKVNeverFitRequestIsDropped(t *testing.T) {
-	reqs := []trace.Request{{ID: 0, PromptTokens: 6000, OutputTokens: 10}}
-	for i := 1; i <= 10; i++ {
-		reqs = append(reqs, trace.Request{ID: i, Arrival: units.Seconds(i) / 10, PromptTokens: 500, OutputTokens: 20})
+	cases := []struct {
+		name    string
+		head    trace.Request
+		stamped int // first tokens the dropped head stamps
+	}{
+		{"never-fits", trace.Request{PromptTokens: 6000, OutputTokens: 10}, 0},
+		{"outgrows-mid-decode", trace.Request{PromptTokens: 4000, OutputTokens: 1500}, 1},
 	}
 	for _, pol := range SchedulerPolicies() {
 		t.Run(pol.String(), func(t *testing.T) {
-			cfg := smallConfig()
-			cfg.Scheduler = pol
-			cfg.KV = kv.Config{Policy: kv.Recompute, Blocks: 300}
-			m := mustRun(t, cfg, reqs, 120)
-			if m.Dropped != 1 || m.Completed != len(reqs)-1 {
-				t.Fatalf("dropped %d, completed %d of %d; want the never-fit head dropped and the rest served",
-					m.Dropped, m.Completed, len(reqs))
-			}
-			if m.TTFT.N != m.Completed || m.TTFTAttainment > 1 {
-				t.Errorf("%d first tokens for %d completions (attainment %.4f): the drop came after prefill",
-					m.TTFT.N, m.Completed, m.TTFTAttainment)
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					reqs := []trace.Request{tc.head}
+					for i := 1; i <= 10; i++ {
+						reqs = append(reqs, trace.Request{ID: i, Arrival: units.Seconds(i) / 10, PromptTokens: 500, OutputTokens: 20})
+					}
+					cfg := smallConfig()
+					cfg.Scheduler = pol
+					cfg.KV = kv.Config{Policy: kv.Recompute, Blocks: 300}
+					m := mustRun(t, cfg, reqs, 120)
+					if m.TTFTAttainment > 1 {
+						t.Errorf("TTFT attainment %.4f exceeds 1", m.TTFTAttainment)
+					}
+					if m.Dropped != 1 || m.Completed != len(reqs)-1 {
+						t.Fatalf("dropped %d, completed %d of %d; want the head dropped and the rest served",
+							m.Dropped, m.Completed, len(reqs))
+					}
+					if m.TTFT.N != m.Completed+tc.stamped {
+						t.Errorf("%d first tokens for %d completions; want %d stamped by the dropped head",
+							m.TTFT.N, m.Completed, tc.stamped)
+					}
+				})
 			}
 		})
 	}
@@ -246,33 +264,46 @@ func TestKVSwapPricedOnFabric(t *testing.T) {
 
 // TestKVSnapshotForkInvariance extends the snapshot contract to the
 // memory model: forking a failure run at its first failure with KV
-// pressure live (allocator state, reprefill queues, swap transfers in
-// flight) must be byte-identical to simulating the whole run from t=0.
+// pressure live (allocator state, reprefill queues, pending
+// reservations, swap transfers in flight) must be byte-identical to
+// simulating the whole run from t=0, for every scheduler and both
+// preemption policies, with and without a fabric.
 func TestKVSnapshotForkInvariance(t *testing.T) {
-	cfg := smallConfig()
-	cfg.KV = kv.Config{Policy: kv.Recompute, PrefixCache: true, Blocks: 500}
 	reqs := convTrace(t, 8.0, 3, 200)
 	f := acceleratedFailures(0)
-	m0, fork, err := runForkable(cfg, f, reqs, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fork.sim.snap == nil {
-		t.Fatal("accelerated failures fired no failure; fork test is vacuous")
-	}
-	if m0.KVPreemptions == 0 {
-		t.Fatal("fork scenario saw no KV pressure; test is vacuous")
-	}
-	for spares := 0; spares <= 2; spares++ {
-		fs := f
-		fs.Spares = spares
-		want, err := runOneFailures(cfg, fs, reqs, 300)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := fork.runWithSpares(spares)
-		if fmt.Sprintf("%x", got) != fmt.Sprintf("%x", want) {
-			t.Errorf("spares=%d: fork resume diverges from full run\ngot:  %x\nwant: %x", spares, got, want)
+	for _, pol := range SchedulerPolicies() {
+		for _, kvPol := range []kv.Policy{kv.Recompute, kv.Swap} {
+			for _, net := range []NetworkConfig{{}, pluggablePacket()} {
+				name := fmt.Sprintf("%s/%s/%s", pol, kvPol, net.Fabric)
+				t.Run(name, func(t *testing.T) {
+					cfg := smallConfig()
+					cfg.Scheduler = pol
+					cfg.Network = net
+					cfg.KV = kv.Config{Policy: kvPol, PrefixCache: true, Blocks: 500}
+					m0, fork, err := runForkable(cfg, f, reqs, 300)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fork.sim.snap == nil {
+						t.Fatal("accelerated failures fired no failure; fork test is vacuous")
+					}
+					if m0.KVPreemptions == 0 {
+						t.Fatal("fork scenario saw no KV pressure; test is vacuous")
+					}
+					for spares := 0; spares <= 2; spares++ {
+						fs := f
+						fs.Spares = spares
+						want, err := runOneFailures(cfg, fs, reqs, 300)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := fork.runWithSpares(spares)
+						if fmt.Sprintf("%x", got) != fmt.Sprintf("%x", want) {
+							t.Errorf("spares=%d: fork resume diverges from full run\ngot:  %x\nwant: %x", spares, got, want)
+						}
+					}
+				})
+			}
 		}
 	}
 }

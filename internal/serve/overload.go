@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"litegpu/internal/kv"
 	"litegpu/internal/obs"
 	"litegpu/internal/sim"
 	"litegpu/internal/straggler"
@@ -467,6 +468,40 @@ func (p *poolSim) settleCancelled(id int, a *activeReq) {
 	}
 }
 
+// purged reports whether live request a's client has cancelled it; if
+// so, a's blocks in al (if it holds any) are released and a is reclaimed.
+// With no tombstone laid it stays a single inlined length test: it runs
+// for every batch member at every step.
+//
+//litegpu:hotpath
+func (p *poolSim) purged(al *kv.Allocator, a *activeReq, now float64) bool {
+	return len(p.cancelled) > 0 && p.purge(al, a, now)
+}
+
+// purge is purged past its inlined fast path.
+//
+//litegpu:hotpath
+func (p *poolSim) purge(al *kv.Allocator, a *activeReq, now float64) bool {
+	if !p.isCancelled(a.req.ID) {
+		return false
+	}
+	p.kvRelease(al, a, now)
+	p.settleCancelled(a.req.ID, a)
+	return true
+}
+
+// purgedID is purged for a request held by value (queued or mid-prefill
+// as a trace.Request), known only by its id.
+//
+//litegpu:hotpath
+func (p *poolSim) purgedID(id int) bool {
+	if !p.isCancelled(id) {
+		return false
+	}
+	p.settleCancelled(id, nil)
+	return true
+}
+
 // clientSettle closes the client's interest in request id at a terminal
 // event — completion, oversized drop, or failure-policy drop: the live
 // track's deadline is cancelled and the track freed. An untracked id
@@ -489,7 +524,7 @@ func (p *poolSim) clientSettle(id int) {
 	}
 	tr := &p.trackArena[idx]
 	if tr.deadline != 0 {
-		p.eng.Cancel(tr.deadline)
+		p.cs.eng.Cancel(tr.deadline)
 		tr.deadline = 0
 	}
 	delete(p.tracks, id)
@@ -595,8 +630,7 @@ func (s *clusterSim) cancelClientXfer(p *poolSim, id int) bool {
 	if s.fab == nil {
 		return false
 	}
-	live := p.liveXfers
-	for k, idx := range live {
+	for _, idx := range p.liveXfers {
 		rec := &p.xfers[idx]
 		if rec.a == nil || rec.a.req.ID != id {
 			continue
@@ -604,8 +638,7 @@ func (s *clusterSim) cancelClientXfer(p *poolSim, id int) bool {
 		s.fab.Cancel(rec.tid)
 		p.freeActive(rec.a)
 		p.freeXfer(idx)
-		copy(live[k:], live[k+1:])
-		p.liveXfers = live[:len(live)-1]
+		p.dropLive(idx)
 		return true
 	}
 	return false

@@ -101,8 +101,8 @@ type scheduler interface {
 	totalGPUs() int
 	// enqueue accepts a routed arrival.
 	enqueue(r trace.Request)
-	// deliverKV accepts a request whose KV-cache handoff just crossed
-	// the fabric: it joins the decode path. Only schedulers that move
+	// deliverKV accepts a request whose KV-cache handoff just landed:
+	// it stamps TTFT and joins the decode path. Only schedulers that move
 	// KV between phase pools (the static policy) ever receive one;
 	// colocated schedulers panic, because a handoff to them is a
 	// simulator bug.
@@ -110,12 +110,22 @@ type scheduler interface {
 	// dispatch hands queued work to idle instances; called exactly once
 	// per event timestamp, after all completions at that time.
 	dispatch(now float64)
-	// swapReturn accepts a preempted sequence whose KV just finished its
-	// swap round-trip or recompute handoff: it rejoins the decode path
-	// at the head of the queue, holding no blocks and stamping no TTFT
-	// (its first token was already served before preemption). Only
-	// reachable with Config.KV enabled.
-	swapReturn(a *activeReq, now float64)
+	// resume takes back a sequence that holds no KV blocks at the head
+	// of the queue its batches admit from, stamping no TTFT: a preempted
+	// sequence whose swap round-trip delivered (or was cut by a
+	// failure, its remote copy intact), a recompute handoff that landed,
+	// a colocated reservation evicted for a decoding sequence's growth,
+	// or a batch member requeued by a failure.
+	resume(a *activeReq)
+	// rebuild queues a sequence preempted under kv.Recompute, its KV
+	// discarded, for a prefill pass over its whole context.
+	rebuild(a *activeReq)
+	// handoffLost settles, under the requeue policy, a KV or recompute
+	// handoff whose transfer idx was cut by the failure of instance id,
+	// and reports whether the transfer restarted and stays live. Only
+	// the static policy moves KV between instances; colocated schedulers
+	// panic, because a handoff to them is a simulator bug.
+	handoffLost(idx int32, id int, now float64) bool
 	// fail reclaims instance id's in-flight work when it dies:
 	// un-counting the unfinished busy tail and requeueing (or, when drop
 	// is set, abandoning) the work. Generic down-marking, completion-

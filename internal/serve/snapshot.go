@@ -61,6 +61,37 @@ func (s *instSnap) restore(st *instanceState) {
 	}
 }
 
+// batchSnap freezes a batch.
+type batchSnap struct {
+	inst    instSnap
+	active  []*activeReq
+	stepEnd float64
+	al      *kv.Snap
+}
+
+// snapBatch freezes b, appending its live requests to reqs.
+func snapBatch(b *batch, reqs []savedReq) (batchSnap, []savedReq) {
+	s := batchSnap{
+		inst:    snapInstance(&b.instanceState),
+		active:  append([]*activeReq(nil), b.active...),
+		stepEnd: b.stepEnd,
+	}
+	if b.al != nil {
+		s.al = b.al.Snapshot()
+	}
+	return s, saveReqs(reqs, b.active)
+}
+
+func (s *batchSnap) restore(b *batch) {
+	s.inst.restore(&b.instanceState)
+	clearTail(b.active, 0)
+	b.active = append(b.active[:0], s.active...)
+	b.stepEnd = s.stepEnd
+	if b.al != nil {
+		b.al.Restore(s.al)
+	}
+}
+
 // staticSnap freezes a staticSched.
 type staticSnap struct {
 	prefills   []prefillEngSnap
@@ -80,11 +111,8 @@ type prefillEngSnap struct {
 }
 
 type decodeEngSnap struct {
-	inst    instSnap
-	active  []*activeReq
-	stepEnd float64
-	busy    float64
-	al      *kv.Snap
+	batch batchSnap
+	busy  float64
 }
 
 func (sc *staticSched) snapshot(reqs []savedReq) (any, []savedReq) {
@@ -111,16 +139,8 @@ func (sc *staticSched) snapshot(reqs []savedReq) (any, []savedReq) {
 	}
 	for j := range sc.decodes {
 		e := &sc.decodes[j]
-		sn.decodes[j] = decodeEngSnap{
-			inst:    snapInstance(&e.instanceState),
-			active:  append([]*activeReq(nil), e.active...),
-			stepEnd: e.stepEnd,
-			busy:    e.busy,
-		}
-		if e.al != nil {
-			sn.decodes[j].al = e.al.Snapshot()
-		}
-		reqs = saveReqs(reqs, e.active)
+		sn.decodes[j].busy = e.busy
+		sn.decodes[j].batch, reqs = snapBatch(&e.batch, reqs)
 	}
 	reqs = saveReqs(reqs, sn.decodeQ)
 	reqs = saveReqs(reqs, sn.reprefillQ)
@@ -140,13 +160,8 @@ func (sc *staticSched) restore(snap any) {
 	for j := range sc.decodes {
 		e := &sc.decodes[j]
 		s := &sn.decodes[j]
-		s.inst.restore(&e.instanceState)
-		clearTail(e.active, 0)
-		e.active = append(e.active[:0], s.active...)
-		e.stepEnd, e.busy = s.stepEnd, s.busy
-		if e.al != nil {
-			e.al.Restore(s.al)
-		}
+		s.batch.restore(&e.batch)
+		e.busy = s.busy
 	}
 	sc.prefillQ.load(sn.prefillQ)
 	sc.decodeQ.load(sn.decodeQ)
@@ -163,17 +178,14 @@ type colocSnap struct {
 }
 
 type colocEngSnap struct {
-	inst        instSnap
-	active      []*activeReq
+	batch       batchSnap
 	pending     []*activeReq
-	stepEnd     float64
 	stepPfx     float64
 	stepDec     float64
 	stepPrefill int
 	stepChunk   int
 	pBusy       float64
 	dBusy       float64
-	al          *kv.Snap
 }
 
 func (c *colocSched) snapshot(reqs []savedReq) (any, []savedReq) {
@@ -184,10 +196,7 @@ func (c *colocSched) snapshot(reqs []savedReq) (any, []savedReq) {
 	for i := range c.engines {
 		e := &c.engines[i]
 		sn.engines[i] = colocEngSnap{
-			inst:        snapInstance(&e.instanceState),
-			active:      append([]*activeReq(nil), e.active...),
 			pending:     e.pending.save(nil),
-			stepEnd:     e.stepEnd,
 			stepPfx:     e.stepPfx,
 			stepDec:     e.stepDec,
 			stepPrefill: e.stepPrefill,
@@ -195,10 +204,7 @@ func (c *colocSched) snapshot(reqs []savedReq) (any, []savedReq) {
 			pBusy:       e.pBusy,
 			dBusy:       e.dBusy,
 		}
-		if e.al != nil {
-			sn.engines[i].al = e.al.Snapshot()
-		}
-		reqs = saveReqs(reqs, sn.engines[i].active)
+		sn.engines[i].batch, reqs = snapBatch(&e.batch, reqs)
 		reqs = saveReqs(reqs, sn.engines[i].pending)
 	}
 	reqs = saveReqs(reqs, sn.q)
@@ -210,16 +216,11 @@ func (c *colocSched) restore(snap any) {
 	for i := range c.engines {
 		e := &c.engines[i]
 		s := &sn.engines[i]
-		s.inst.restore(&e.instanceState)
-		clearTail(e.active, 0)
-		e.active = append(e.active[:0], s.active...)
+		s.batch.restore(&e.batch)
 		e.pending.load(s.pending)
-		e.stepEnd, e.stepPfx, e.stepDec = s.stepEnd, s.stepPfx, s.stepDec
+		e.stepPfx, e.stepDec = s.stepPfx, s.stepDec
 		e.stepPrefill, e.stepChunk = s.stepPrefill, s.stepChunk
 		e.pBusy, e.dBusy = s.pBusy, s.dBusy
-		if e.al != nil {
-			e.al.Restore(s.al)
-		}
 	}
 	c.q.load(sn.q)
 }
@@ -270,17 +271,18 @@ type poolSnap struct {
 	freeXferIx []int32
 	liveXfers  []int32
 
-	m            Metrics
-	goodTokens   int
-	usefulTokens int
-	ttfts        []float64
-	tbts         []float64
-	e2es         []float64
-	xferT        []float64
-	xferB        []float64
-	netSec       float64
-	ttftOK       int
-	tbtOK        int
+	m                Metrics
+	goodTokens       int
+	usefulTokens     int
+	ttfts            []float64
+	tbts             []float64
+	e2es             []float64
+	xferT            []float64
+	xferB            []float64
+	netSec           float64
+	ttftOK           int
+	tbtOK            int
+	droppedAfterTTFT int
 
 	kvInUse     int
 	kvPeak      int
@@ -374,6 +376,7 @@ func (s *clusterSim) takeSnapshot(p *poolSim, id int, now float64) {
 		ps.netSec = pl.netSec
 		ps.ttftOK = pl.ttftOK
 		ps.tbtOK = pl.tbtOK
+		ps.droppedAfterTTFT = pl.droppedAfterTTFT
 		ps.kvInUse = pl.kvInUse
 		ps.kvPeak = pl.kvPeak
 		ps.kvBlockSec = pl.kvBlockSec
@@ -430,6 +433,7 @@ func (s *clusterSim) restoreSnapshot() {
 		pl.netSec = ps.netSec
 		pl.ttftOK = ps.ttftOK
 		pl.tbtOK = ps.tbtOK
+		pl.droppedAfterTTFT = ps.droppedAfterTTFT
 		pl.kvInUse = ps.kvInUse
 		pl.kvPeak = ps.kvPeak
 		pl.kvBlockSec = ps.kvBlockSec
